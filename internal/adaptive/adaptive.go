@@ -146,9 +146,7 @@ func (e *Estimator) bootstrapHalfWidth(cfg Config, key string) float64 {
 		means[b] = sum / float64(n)
 	}
 	sort.Float64s(means)
-	lo := stats.Sample(means).Percentile(2.5)
-	hi := stats.Sample(means).Percentile(97.5)
-	return (hi - lo) / 2
+	return (stats.PercentileSorted(means, 97.5) - stats.PercentileSorted(means, 2.5)) / 2
 }
 
 func bootstrapSeed(seed int64, key string, n int) uint64 {
@@ -184,13 +182,19 @@ type VideoStatus struct {
 	Interval
 }
 
-// Campaign is one campaign's adaptive state: estimators, stopping
-// flags, and the in-flight assignment counts the allocator steers by.
+// Campaign is one campaign's adaptive state: estimators, their current
+// intervals, stopping flags, and the in-flight assignment counts the
+// allocator steers by.
 type Campaign struct {
 	cfg    Config
 	kind   string // "timeline" | "ab"
 	videos []string
 	est    map[string]*Estimator
+	// iv holds each estimator's Interval at its current sample count.
+	// Only Complete writes it, so the read paths (Assign, Status) never
+	// run a bootstrap; an interval is a pure function of the samples,
+	// so the cached value equals a fresh Estimator.Interval.
+	iv map[string]Interval
 	// pending counts journaled-but-not-completed assignment entries per
 	// video; maintained verdict-agnostically (see the package comment on
 	// provisional DropSoft).
@@ -205,6 +209,7 @@ func New(kind string, cfg Config) *Campaign {
 		cfg:      cfg.withDefaults(),
 		kind:     kind,
 		est:      map[string]*Estimator{},
+		iv:       map[string]Interval{},
 		pending:  map[string]int{},
 		resolved: map[string]bool{},
 	}
@@ -230,10 +235,11 @@ func (a *Campaign) NoteJoin(videos []string) {
 }
 
 // Complete folds one completed session: releases its pending
-// assignment entries and, for a kept session, feeds the estimators and
-// refreshes the stopping state. Calls must arrive in completion order —
-// the order the journal produced — so the estimator folds and therefore
-// the stopping decisions replay bit-identically.
+// assignment entries and, for a kept session, feeds the estimators,
+// recomputes the intervals of the videos it fed, and refreshes the
+// stopping state. Calls must arrive in completion order — the order the
+// journal produced — so the estimator folds and therefore the stopping
+// decisions replay bit-identically.
 func (a *Campaign) Complete(rec *filtering.SessionRecord, verdict filtering.Reason) {
 	kept := verdict == filtering.Kept
 	for _, r := range rec.Timeline {
@@ -255,7 +261,24 @@ func (a *Campaign) Complete(rec *filtering.SessionRecord, verdict filtering.Reas
 			}
 		}
 	}
+	if kept {
+		for _, r := range rec.Timeline {
+			a.updateInterval(r.VideoID)
+		}
+		for _, r := range rec.AB {
+			a.updateInterval(r.VideoID)
+		}
+	}
 	a.refresh()
+}
+
+// updateInterval recomputes video's cached interval when its sample
+// count moved since the last computation, so a video assigned several
+// times in one session is estimated once.
+func (a *Campaign) updateInterval(video string) {
+	if e := a.est[video]; e != nil && a.iv[video].N != e.N() {
+		a.iv[video] = e.Interval(a.cfg, video)
+	}
 }
 
 func (a *Campaign) observe(video string, v float64) {
@@ -277,7 +300,7 @@ func (a *Campaign) refresh() {
 			continue
 		}
 		if e := a.est[v]; e != nil && e.N() >= a.cfg.MinKept {
-			if iv := e.Interval(a.cfg, v); iv.Method != "" && iv.HalfWidth <= a.cfg.HalfWidth {
+			if iv := a.iv[v]; iv.Method != "" && iv.HalfWidth <= a.cfg.HalfWidth {
 				a.resolved[v] = true
 				continue
 			}
@@ -321,7 +344,7 @@ func (a *Campaign) Assign(live []string) []string {
 		n := need{video: v, expected: a.pending[v], width: math.Inf(1), order: i}
 		if e := a.est[v]; e != nil {
 			n.expected += e.N()
-			if iv := e.Interval(a.cfg, v); iv.Method != "" {
+			if iv := a.iv[v]; iv.Method != "" {
 				n.width = iv.HalfWidth
 			}
 		}
@@ -353,7 +376,7 @@ func (a *Campaign) Status() []VideoStatus {
 		}
 		if e := a.est[v]; e != nil {
 			st.Kept = e.N()
-			st.Interval = e.Interval(a.cfg, v)
+			st.Interval = a.iv[v]
 		}
 		out = append(out, st)
 	}

@@ -1,7 +1,9 @@
 package adaptive
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -195,5 +197,105 @@ func TestStatusJSONSafeBeforeTwoSamples(t *testing.T) {
 	st := a.Status()[0]
 	if st.Method != "" || st.HalfWidth != 0 {
 		t.Fatalf("n=1 status = %+v, want no computable interval (JSON cannot carry Inf)", st)
+	}
+}
+
+// loadedCampaign is a timeline campaign over videos videos in which
+// every video has keptPer kept samples: each session answers six
+// regular tests cycled over the videos plus a control, with a spread of
+// submissions, and the target half-width is too tight to resolve
+// anything, so every video stays in the allocator's pool.
+func loadedCampaign(videos, keptPer int) (*Campaign, []string) {
+	a := New("timeline", Config{HalfWidth: 1e-9, Seed: 3})
+	ids := make([]string, videos)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("v%02d", i)
+		a.AddVideo(ids[i])
+	}
+	const regular = 6
+	for k := 0; k < videos*keptPer; k += regular {
+		vids := make([]string, 0, regular+1)
+		sub := make([]time.Duration, 0, regular+1)
+		for j := 0; j < regular && k+j < videos*keptPer; j++ {
+			vids = append(vids, ids[(k+j)%videos])
+			sub = append(sub, time.Duration(1000+(k+j)*37%2500)*time.Millisecond)
+		}
+		vids = append(vids, ids[0])
+		sub = append(sub, 2*time.Second)
+		a.NoteJoin(vids)
+		a.Complete(timelineRecord(fmt.Sprintf("w%d", k), vids, sub, len(vids)-1), filtering.Kept)
+	}
+	return a, ids
+}
+
+func TestCachedIntervalsMatchEstimator(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	a := New("timeline", Config{HalfWidth: 0.05, MinKept: 3, BootstrapBelow: 8, Seed: 9})
+	vids := []string{"v1", "v2", "v3"}
+	for _, v := range vids {
+		a.AddVideo(v)
+	}
+	for i := 0; i < 40; i++ {
+		assigned := []string{vids[r.Intn(3)], vids[r.Intn(3)], vids[r.Intn(3)], vids[0]}
+		sub := make([]time.Duration, len(assigned))
+		for j := range sub {
+			sub[j] = time.Duration(500+r.Intn(4000)) * time.Millisecond
+		}
+		verdict := filtering.Kept
+		if r.Intn(4) == 0 {
+			verdict = filtering.DropSoft
+		}
+		a.NoteJoin(assigned)
+		a.Complete(timelineRecord("w", assigned, sub, 3), verdict)
+		for _, st := range a.Status() {
+			var want Interval
+			if e := a.est[st.Video]; e != nil {
+				want = e.Interval(a.cfg, st.Video)
+			}
+			if st.Interval != want {
+				t.Fatalf("session %d, %s: cached %+v, recomputed %+v", i, st.Video, st.Interval, want)
+			}
+		}
+	}
+}
+
+// TestReadsRunNoBootstrap pins that Status and Assign only read the
+// cached intervals: their allocations do not depend on how many samples
+// each video holds, and match a campaign with no samples at all.
+func TestReadsRunNoBootstrap(t *testing.T) {
+	reads := func(a *Campaign, live []string) (status, assign float64) {
+		status = testing.AllocsPerRun(50, func() { _ = a.Status() })
+		assign = testing.AllocsPerRun(50, func() { _ = a.Assign(live) })
+		return status, assign
+	}
+	empty, live := loadedCampaign(16, 0)
+	s0, a0 := reads(empty, live)
+	for _, kept := range []int{10, 25} {
+		a, live := loadedCampaign(16, kept)
+		if st := a.Status(); st[1].Kept != kept || st[1].Method != "bootstrap" {
+			t.Fatalf("loaded campaign: %+v, want %d kept under the bootstrap", st[1], kept)
+		}
+		s, as := reads(a, live)
+		if s != s0 || as != a0 {
+			t.Fatalf("at %d kept per video: Status %v allocs, Assign %v; with no samples %v and %v", kept, s, as, s0, a0)
+		}
+	}
+}
+
+func BenchmarkCampaignAssign(b *testing.B) {
+	a, live := loadedCampaign(16, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = a.Assign(live)
+	}
+}
+
+func BenchmarkCampaignStatus(b *testing.B) {
+	a, _ := loadedCampaign(16, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = a.Status()
 	}
 }

@@ -43,5 +43,8 @@
 //
 // The type is not goroutine-safe: the platform mutates and reads it
 // under the owning campaign's shard lock, exactly like
-// quality.Campaign.
+// quality.Campaign. Only Complete computes intervals (it caches each
+// video's interval at its current sample count); Assign, Status and the
+// other readers never write, so they may run concurrently under the
+// lock's read side.
 package adaptive

@@ -16,13 +16,13 @@
 //     allocations;
 //   - the file tier (Dir set) persists each blob as one contiguous
 //     file, fronted by a sharded LRU byte cache. Blobs no larger than
-//     one chunk are cache-candidates (admitted through a doorkeeper on
-//     their second miss, so one-shot scans cannot flush the hot set);
-//     larger blobs bypass the cache entirely and serve straight from
-//     their *os.File, which http.ServeContent turns into sendfile on a
-//     real socket — the kernel already zero-copies those, so the
-//     userspace cache is reserved for the small hot set where syscall
-//     overhead dominates.
+//     one chunk are cache-candidates, admitted through a doorkeeper on
+//     their second recent miss, so one-shot scans cannot flush the hot
+//     set; a first miss serves straight from the *os.File. Larger blobs
+//     bypass the cache entirely and always serve from their *os.File,
+//     which net/http turns into sendfile on a real socket — the kernel
+//     already zero-copies those, so the userspace cache is reserved for
+//     the small hot set where syscall overhead dominates.
 //
 // The store is crash-safe by construction: a blob becomes visible only
 // after a temp-file rename (fsynced when Options.Fsync is set), so a
@@ -406,11 +406,17 @@ func (s *Store) CacheStats() (entries int, bytes int64) {
 	return s.cache.stats()
 }
 
-// Bytes is the allocation-free hit path: it returns the blob's contents
-// as one contiguous slice when they are already resident — a
-// single-chunk blob on the memory tiers, or a byte-cache hit on the
-// file tier — and reports false otherwise (caller falls back to Open).
-// The returned slice is the store's own and must not be modified.
+// ChunkBytes returns the fixed chunk size: the largest blob the byte
+// cache admits and the memory tiers hold as one contiguous slice.
+func (s *Store) ChunkBytes() int64 { return int64(s.chunk) }
+
+// Bytes is the resident-only, allocation-free probe: it returns the
+// blob's contents as one contiguous slice when they are already
+// resident — a single-chunk blob on the memory tiers, or a byte-cache
+// entry on the file tier — and reports false otherwise. It neither
+// marks the doorkeeper nor counts a hit or miss; serving goes through
+// Fetch. The returned slice is the store's own and must not be
+// modified.
 func (s *Store) Bytes(hash string) ([]byte, bool) {
 	s.mu.RLock()
 	meta, ok := s.blobs[hash]
@@ -422,50 +428,68 @@ func (s *Store) Bytes(hash string) ([]byte, bool) {
 		return meta.chunks[0], true
 	}
 	if meta.chunks == nil && s.cache != nil && meta.size <= int64(s.chunk) {
-		if b, ok := s.cache.get(hash); ok {
-			return b, true
-		}
+		return s.cache.peek(hash)
 	}
 	return nil, false
 }
 
-// Open returns the blob's content as an io.ReadSeekCloser sized for
-// http.ServeContent:
-//
-//   - resident bytes (memory tiers, cache hits) serve from RAM;
-//   - a file-tier blob no larger than one chunk is read once, offered
-//     to the byte cache (doorkeeper-gated), and served from the read;
-//   - larger file-tier blobs return the *os.File itself, which
-//     http.ServeContent drives with sendfile on a real socket.
-func (s *Store) Open(hash string) (io.ReadSeekCloser, int64, error) {
+// Fetch is the serving path's one lookup per request. When rc is nil,
+// b holds the whole content: a single-chunk blob on the memory tiers, a
+// byte-cache hit, or a cache-eligible blob on its second recent miss,
+// which reads the file and admits it. Otherwise rc is open on the
+// content and the caller closes it: the *os.File of a file-tier blob —
+// larger than a chunk, on its first recent miss (which only marks the
+// doorkeeper, so nothing is read into the heap), or with the cache
+// disabled — or a reader over a multi-chunk memory-tier blob. Every
+// lookup of a cache-eligible file-tier blob counts exactly one cache
+// hit or miss. b is the store's own and must not be modified.
+func (s *Store) Fetch(hash string) (b []byte, rc io.ReadSeekCloser, size int64, err error) {
 	s.mu.RLock()
 	meta, ok := s.blobs[hash]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, 0, ErrNotFound
+		return nil, nil, 0, ErrNotFound
+	}
+	if len(meta.chunks) == 1 {
+		return meta.chunks[0], nil, meta.size, nil
 	}
 	if meta.chunks != nil {
-		if len(meta.chunks) == 1 {
-			return newByteContent(meta.chunks[0]), meta.size, nil
-		}
-		return &chunkReader{chunks: meta.chunks, chunk: int64(s.chunk), size: meta.size}, meta.size, nil
+		return nil, &chunkReader{chunks: meta.chunks, chunk: int64(s.chunk), size: meta.size}, meta.size, nil
 	}
 	if s.cache != nil && meta.size <= int64(s.chunk) {
-		if b, ok := s.cache.get(hash); ok {
-			return newByteContent(b), meta.size, nil
+		b, hit, again := s.cache.get(hash)
+		if hit {
+			return b, nil, meta.size, nil
 		}
-		b, err := os.ReadFile(s.path(hash))
-		if err != nil {
-			return nil, 0, err
+		if again {
+			if b, err = os.ReadFile(s.path(hash)); err != nil {
+				return nil, nil, 0, err
+			}
+			s.cache.admit(hash, b, false)
+			return b, nil, meta.size, nil
 		}
-		s.cache.admit(hash, b, false)
-		return newByteContent(b), meta.size, nil
 	}
 	f, err := os.Open(s.path(hash))
 	if err != nil {
+		return nil, nil, 0, err
+	}
+	return nil, f, meta.size, nil
+}
+
+// Open returns the blob's content as an io.ReadSeekCloser sized for
+// http.ServeContent, through the same lookup as Fetch: resident bytes
+// serve from RAM, everything else from the reader Fetch opened (the
+// *os.File itself on the file tier, which http.ServeContent drives with
+// sendfile on a real socket).
+func (s *Store) Open(hash string) (io.ReadSeekCloser, int64, error) {
+	b, rc, size, err := s.Fetch(hash)
+	if err != nil {
 		return nil, 0, err
 	}
-	return f, meta.size, nil
+	if rc == nil {
+		rc = newByteContent(b)
+	}
+	return rc, size, nil
 }
 
 // ReadAll materializes the whole blob as one contiguous slice. The
@@ -506,7 +530,7 @@ func (s *Store) Prewarm(hash string) {
 	if !ok || meta.size > int64(s.chunk) {
 		return
 	}
-	if _, ok := s.cache.get(hash); ok {
+	if _, ok := s.cache.peek(hash); ok {
 		return
 	}
 	b, err := os.ReadFile(s.path(hash))

@@ -412,9 +412,90 @@ func TestSinkTelemetry(t *testing.T) {
 	if sink.puts != 1 || sink.putBytes != ref.Size {
 		t.Fatalf("puts = %d/%d bytes, want 1/%d", sink.puts, sink.putBytes, ref.Size)
 	}
-	// Open #1 misses (doorkeeper mark), admits; #2 and #3 hit.
-	if sink.misses < 1 || sink.hits < 1 {
-		t.Fatalf("hits=%d misses=%d, want both >= 1", sink.hits, sink.misses)
+	// Open #1 misses and only marks the doorkeeper; #2 misses again and
+	// admits; #3 hits.
+	if sink.misses != 2 || sink.hits != 1 {
+		t.Fatalf("hits=%d misses=%d, want 1 hit and 2 misses", sink.hits, sink.misses)
+	}
+}
+
+// TestFetchDoorkeeperAdmitsOnSecondMiss walks one cache-eligible
+// file-tier blob through its lookups: the first miss serves the
+// *os.File and caches nothing, the second miss reads and admits it, and
+// the third hits.
+func TestFetchDoorkeeperAdmitsOnSecondMiss(t *testing.T) {
+	sink := &countSink{}
+	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: 1 << 10, CacheBytes: 1 << 20, Metrics: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("door"), 100)
+	ref, _, err := s.PutBytes(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, rc, size, err := s.Fetch(ref.Hash)
+	if err != nil || size != ref.Size {
+		t.Fatalf("first Fetch: size %d, err %v", size, err)
+	}
+	f, ok := rc.(*os.File)
+	if b != nil || !ok {
+		t.Fatalf("first miss returned %T and %d resident bytes, want the *os.File", rc, len(b))
+	}
+	f.Close()
+	if entries, _ := s.CacheStats(); entries != 0 {
+		t.Fatalf("first miss admitted the blob (%d entries)", entries)
+	}
+	for i, want := range []struct{ hits, misses int }{{0, 2}, {1, 2}} {
+		b, rc, _, err := s.Fetch(ref.Hash)
+		if err != nil || rc != nil || !bytes.Equal(b, payload) {
+			t.Fatalf("Fetch #%d: reader %T, %d bytes, err %v; want the resident payload", i+2, rc, len(b), err)
+		}
+		sink.mu.Lock()
+		hits, misses := sink.hits, sink.misses
+		sink.mu.Unlock()
+		if hits != want.hits || misses != want.misses {
+			t.Fatalf("after Fetch #%d: hits=%d misses=%d, want %d/%d", i+2, hits, misses, want.hits, want.misses)
+		}
+	}
+	if entries, n := s.CacheStats(); entries != 1 || n != ref.Size {
+		t.Fatalf("CacheStats = %d entries %d bytes, want 1/%d", entries, n, ref.Size)
+	}
+}
+
+// TestScanLeavesHotBlobCached reads many cold blobs once each through
+// a cache where every shard holds a single entry: no single-touch blob
+// may be admitted, so the resident hot blob survives the scan.
+func TestScanLeavesHotBlobCached(t *testing.T) {
+	const chunk = 1 << 10
+	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: chunk, CacheBytes: cacheShards * chunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, _, err := s.PutBytes(bytes.Repeat([]byte("h"), chunk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Prewarm(hot.Hash)
+	for i := 0; i < 20*cacheShards; i++ {
+		ref, _, err := s.PutBytes(bytes.Repeat([]byte(fmt.Sprintf("cold%04d", i)), chunk/8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rc, _, err := s.Fetch(ref.Hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc == nil {
+			t.Fatalf("cold blob %d served from the cache on its first read", i)
+		}
+		rc.Close()
+	}
+	if _, ok := s.Bytes(hot.Hash); !ok {
+		t.Fatal("a one-shot scan evicted the hot blob")
+	}
+	if entries, _ := s.CacheStats(); entries != 1 {
+		t.Fatalf("cache holds %d entries after the scan, want only the hot blob", entries)
 	}
 }
 

@@ -67,24 +67,43 @@ func (c *cache) shard(hash string) *cacheShard {
 	return &c.shards[fnv1a(hash)&c.mask]
 }
 
-// get returns the cached bytes and bumps recency. A miss marks the hash
-// in the doorkeeper so the caller's follow-up admit succeeds.
-func (c *cache) get(hash string) ([]byte, bool) {
+// get is the serving lookup: it returns the cached bytes and bumps
+// recency, counting one hit or one miss. A miss marks the hash in the
+// doorkeeper and reports through again whether it was already marked:
+// a repeat miss is the caller's cue to read the blob and admit it (the
+// mark stays until admit consumes it).
+func (c *cache) get(hash string) (b []byte, ok, again bool) {
 	sh := c.shard(hash)
 	sh.mu.Lock()
-	if el, ok := sh.entries[hash]; ok {
+	if el, hit := sh.entries[hash]; hit {
 		sh.lru.MoveToFront(el)
-		b := el.Value.(*cacheEntry).b
+		b = el.Value.(*cacheEntry).b
 		sh.mu.Unlock()
 		c.sinkHit(len(b))
-		return b, true
+		return b, true, false
 	}
-	if len(sh.door) >= doorLimit {
-		sh.door = make(map[string]struct{})
+	if _, again = sh.door[hash]; !again {
+		if len(sh.door) >= doorLimit {
+			sh.door = make(map[string]struct{})
+		}
+		sh.door[hash] = struct{}{}
 	}
-	sh.door[hash] = struct{}{}
 	sh.mu.Unlock()
 	c.sinkMiss()
+	return nil, false, again
+}
+
+// peek returns resident bytes and bumps recency without touching the
+// doorkeeper or the hit/miss telemetry: the probe for callers that do
+// not serve a request.
+func (c *cache) peek(hash string) ([]byte, bool) {
+	sh := c.shard(hash)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if el, ok := sh.entries[hash]; ok {
+		sh.lru.MoveToFront(el)
+		return el.Value.(*cacheEntry).b, true
+	}
 	return nil, false
 }
 

@@ -12,17 +12,17 @@ func TestCacheDoorkeeper(t *testing.T) {
 	b := []byte("payload")
 	// First admit without a prior miss: doorkeeper rejects.
 	c.admit("aa11", b, false)
-	if _, ok := c.get("aa11"); ok {
+	if _, ok, _ := c.get("aa11"); ok {
 		t.Fatal("doorkeeper admitted a never-missed blob")
 	}
 	// The get above marked the doorkeeper; now admission sticks.
 	c.admit("aa11", b, false)
-	if got, ok := c.get("aa11"); !ok || !bytes.Equal(got, b) {
+	if got, ok, _ := c.get("aa11"); !ok || !bytes.Equal(got, b) {
 		t.Fatal("second-touch admission failed")
 	}
 	// Forced admission bypasses the doorkeeper (prewarm path).
 	c.admit("bb22", b, true)
-	if _, ok := c.get("bb22"); !ok {
+	if _, ok, _ := c.get("bb22"); !ok {
 		t.Fatal("forced admission failed")
 	}
 }
@@ -43,11 +43,11 @@ func TestCacheEvictsLRU(t *testing.T) {
 	for _, k := range keys {
 		c.admit(k, payload, true)
 	}
-	if _, ok := c.get(keys[0]); ok {
+	if _, ok, _ := c.get(keys[0]); ok {
 		t.Fatal("LRU entry survived over-capacity admission")
 	}
 	for _, k := range keys[1:] {
-		if _, ok := c.get(k); !ok {
+		if _, ok, _ := c.get(k); !ok {
 			t.Fatalf("recent entry %s evicted", k)
 		}
 	}
@@ -60,7 +60,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 func TestCacheOversizeEntryRejected(t *testing.T) {
 	c := newCache(1<<20, 64, nil)
 	c.admit("big1", make([]byte, 65), true)
-	if _, ok := c.get("big1"); ok {
+	if _, ok, _ := c.get("big1"); ok {
 		t.Fatal("over-max entry admitted")
 	}
 	entries, _ := c.stats()
@@ -73,7 +73,7 @@ func TestCacheRemove(t *testing.T) {
 	c := newCache(1<<20, 1<<16, nil)
 	c.admit("gone", []byte("x"), true)
 	c.remove("gone")
-	if _, ok := c.get("gone"); ok {
+	if _, ok, _ := c.get("gone"); ok {
 		t.Fatal("removed entry still resident")
 	}
 	if entries, b := c.stats(); entries != 0 || b != 0 {
@@ -90,7 +90,7 @@ func TestCacheDoorkeeperReset(t *testing.T) {
 	}
 	c.get("settle")
 	c.admit("settle", []byte("y"), false)
-	if _, ok := c.get("settle"); !ok {
+	if _, ok, _ := c.get("settle"); !ok {
 		t.Fatal("admission broken after doorkeeper reset")
 	}
 }
@@ -104,7 +104,7 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("g%d-%d", g, i%37)
-				if b, ok := c.get(k); ok {
+				if b, ok, _ := c.get(k); ok {
 					if len(b) == 0 {
 						t.Errorf("empty cached value for %s", k)
 					}

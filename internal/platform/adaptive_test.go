@@ -17,6 +17,9 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"github.com/eyeorg/eyeorg/internal/adaptive"
+	"github.com/eyeorg/eyeorg/internal/filtering"
 )
 
 // joinStatus is join without the fatal-on-non-201: closed campaigns
@@ -358,4 +361,57 @@ func TestGoldenAdaptiveAnalytics(t *testing.T) {
 		t.Fatalf("join after closure: %d, want 409", code)
 	}
 	checkGolden(t, "analytics_adaptive.golden.json", rawAnalytics(t, c, campaign))
+}
+
+// TestAdaptiveIntervalCacheHammer runs concurrent joins, completions,
+// /analytics polls and /results renders on one adaptive campaign. Under
+// -race it proves the allocator's cached intervals are written only
+// under the campaign's write lock (joins and polls read them under the
+// read lock); afterwards every cached interval must equal a fresh
+// computation and /results must still match the batch oracle.
+func TestAdaptiveIntervalCacheHammer(t *testing.T) {
+	c, srv := newClientOpts(t, Options{Adaptive: true, CIHalfWidth: 1e-9, AdaptiveSeed: 4})
+	campaign, _ := setupCampaign(c, "timeline", 6)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, path := range []string{"/analytics", "/analytics", "/results"} {
+		wg.Add(1)
+		go func(path string) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(c.srv.URL + "/api/v1/campaigns/" + campaign + path)
+				if err != nil {
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}(path)
+	}
+	runChaos(t, c.srv.URL, campaign, "timeline", 33, 8, 4)
+	close(stop)
+	wg.Wait()
+	// Re-fold the journaled joins and completions sequentially into a
+	// fresh allocator: the hammered one must read the same.
+	cs, _ := srv.campaigns.Get(campaign)
+	fresh := adaptive.New(cs.Kind, srv.adaptiveCfg)
+	for _, vid := range cs.Videos {
+		fresh.AddVideo(vid)
+	}
+	for _, sid := range cs.sessions {
+		sess, _ := srv.sessions.Get(sid)
+		fresh.NoteJoin(assignedVideos(sess.Assignment))
+	}
+	for _, rec := range completedRecords(t, srv, cs) {
+		fresh.Complete(rec, filtering.Classify(rec, 0))
+	}
+	if got, want := cs.adaptive.Status(), fresh.Status(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("hammered allocator diverged from a sequential fold:\ngot:  %+v\nwant: %+v", got, want)
+	}
+	assertResultsMatchOracle(t, srv, c, campaign)
 }

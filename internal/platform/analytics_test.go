@@ -30,7 +30,7 @@ func assertLiveEqualsOffline(t *testing.T, s *Server, campaignID string) {
 	if !ok {
 		t.Fatalf("campaign %s missing", campaignID)
 	}
-	offline := filtering.Clean(c.records, 0)
+	offline := filtering.Clean(completedRecords(t, s, c), 0)
 	if got := c.analytics.Summary(); got != offline.Summary {
 		t.Fatalf("summary diverged:\nlive:    %+v\noffline: %+v", got, offline.Summary)
 	}
@@ -260,7 +260,7 @@ func crossCheckHTTP(t *testing.T, s *Server, c *client, campaignID string) {
 		t.Fatal(err)
 	}
 	cs, _ := s.campaigns.Get(campaignID)
-	offline := filtering.Clean(cs.records, 0)
+	offline := filtering.Clean(completedRecords(t, s, cs), 0)
 	want := AnalyticsSummary{
 		Total:           offline.Summary.Total,
 		Kept:            offline.Summary.Kept,
@@ -320,7 +320,8 @@ func crossCheckHTTP(t *testing.T, s *Server, c *client, campaignID string) {
 
 // TestPropertyAnalyticsEquivalence is the acceptance property: across
 // randomized schedules, seeds and worker counts, live verdicts equal the
-// offline batch. Run with -race in CI.
+// offline batch, and the /results bytes rendered from the live fold
+// equal the batch render's. Run with -race in CI.
 func TestPropertyAnalyticsEquivalence(t *testing.T) {
 	for _, kind := range []string{"timeline", "ab"} {
 		for _, workers := range []int{1, 8} {
@@ -332,6 +333,7 @@ func TestPropertyAnalyticsEquivalence(t *testing.T) {
 					runChaos(t, c.srv.URL, campaign, kind, seed, workers, 6)
 					assertLiveEqualsOffline(t, srv, campaign)
 					crossCheckHTTP(t, srv, c, campaign)
+					assertResultsMatchOracle(t, srv, c, campaign)
 				})
 			}
 		}
@@ -340,9 +342,9 @@ func TestPropertyAnalyticsEquivalence(t *testing.T) {
 
 // TestAnalyticsCrashReplayEquivalence crashes a persisted server mid-
 // campaign — completed sessions, in-flight sessions, everything — and
-// requires the replayed analytics to be byte-identical, the equivalence
-// to hold, and a pre-crash in-flight session to complete correctly
-// afterwards.
+// requires the replayed analytics and /results to be byte-identical,
+// the equivalence (and the /results batch oracle) to hold, and a
+// pre-crash in-flight session to complete correctly afterwards.
 func TestAnalyticsCrashReplayEquivalence(t *testing.T) {
 	for _, opts := range []Options{
 		{}, // pure journal replay
@@ -365,7 +367,9 @@ func TestAnalyticsCrashReplayEquivalence(t *testing.T) {
 				}, nil)
 			}
 			assertLiveEqualsOffline(t, srv, campaign)
+			assertResultsMatchOracle(t, srv, c, campaign)
 			before := rawAnalytics(t, c, campaign)
+			beforeResults := rawResults(t, c, campaign)
 			// Crash: abandon the server without Close. Every journal
 			// append was flushed, so recovery sees the full history.
 			c.srv.Close()
@@ -376,7 +380,11 @@ func TestAnalyticsCrashReplayEquivalence(t *testing.T) {
 			if !bytes.Equal(before, after) {
 				t.Fatalf("analytics diverged after replay:\n before: %s\n after:  %s", before, after)
 			}
+			if afterResults := rawResults(t, c2, campaign); !bytes.Equal(beforeResults, afterResults) {
+				t.Fatalf("/results diverged after replay:\n before: %s\n after:  %s", beforeResults, afterResults)
+			}
 			assertLiveEqualsOffline(t, srv2, campaign)
+			assertResultsMatchOracle(t, srv2, c2, campaign)
 
 			// The pre-crash in-flight session completes post-replay and
 			// lands in the analytics like any other.
@@ -393,6 +401,7 @@ func TestAnalyticsCrashReplayEquivalence(t *testing.T) {
 			runChaos(t, c2.srv.URL, campaign, "timeline", 43, 4, 2)
 			assertLiveEqualsOffline(t, srv2, campaign)
 			crossCheckHTTP(t, srv2, c2, campaign)
+			assertResultsMatchOracle(t, srv2, c2, campaign)
 			cs, _ := srv2.campaigns.Get(campaign)
 			if r, ok := cs.analytics.Reasons()["crash-survivor"]; !ok || r != filtering.Kept {
 				t.Fatalf("crash-survivor verdict = %v (present %v), want kept", r, ok)

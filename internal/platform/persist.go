@@ -423,7 +423,6 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 		s.completedN.Add(1)
 		if c, ok := csh.Get(sess.Campaign); ok {
 			rec := sess.record()
-			c.records = append(c.records, rec)
 			c.recordSessions = append(c.recordSessions, sess.ID)
 			c.analytics.Complete(rec, sess.track.Verdict(0))
 			if c.adaptive != nil {
@@ -773,7 +772,6 @@ func (s *Server) restoreCampaign(cn *snapCampaign) (*campaignState, error) {
 			return nil, fmt.Errorf("snapshot campaign %s references unknown session %s", cn.ID, sid)
 		}
 		rec := sess.record()
-		c.records = append(c.records, rec)
 		c.analytics.Complete(rec, sess.track.Verdict(0))
 		if c.adaptive != nil {
 			c.adaptive.Complete(rec, sess.track.Verdict(0))

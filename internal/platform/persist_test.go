@@ -10,6 +10,9 @@ import (
 )
 
 // openPersisted opens a server over dir and wraps it in a test client.
+// Tests "crash" these servers by abandoning them, so cleanup waits for
+// any background snapshot still writing into dir before the temp dir
+// is removed (the client's listener closes first, so none can start).
 func openPersisted(t *testing.T, dir string, opts Options) (*Server, *client) {
 	t.Helper()
 	opts.DataDir = dir
@@ -17,6 +20,7 @@ func openPersisted(t *testing.T, dir string, opts Options) (*Server, *client) {
 	if err != nil {
 		t.Fatalf("open %s: %v", dir, err)
 	}
+	t.Cleanup(srv.snapWG.Wait)
 	return srv, newClientFor(t, srv)
 }
 

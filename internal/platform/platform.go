@@ -22,7 +22,6 @@ import (
 	"github.com/eyeorg/eyeorg/internal/crowd"
 	"github.com/eyeorg/eyeorg/internal/filtering"
 	"github.com/eyeorg/eyeorg/internal/quality"
-	"github.com/eyeorg/eyeorg/internal/stats"
 	"github.com/eyeorg/eyeorg/internal/store"
 	"github.com/eyeorg/eyeorg/internal/survey"
 	"github.com/eyeorg/eyeorg/internal/trace"
@@ -246,12 +245,10 @@ type campaignState struct {
 	Kind   string // "timeline" | "ab"
 	Videos []string
 
-	// records accumulates completed sessions in completion order;
-	// recordSessions mirrors it with session IDs so snapshots can
-	// rebuild the exact order. cache is the rendered /results body and
-	// cacheTag its ETag, both nil/empty when stale. All guarded by the
-	// campaign's shard lock.
-	records        []*filtering.SessionRecord
+	// recordSessions lists completed sessions' IDs in completion order,
+	// so snapshots can re-fold the analytics in the exact order. cache
+	// is the rendered /results body and cacheTag its ETag, both
+	// nil/empty when stale. All guarded by the campaign's shard lock.
 	recordSessions []string
 	cache          []byte
 	cacheTag       string
@@ -1112,8 +1109,8 @@ func (s *Server) handleTests(w http.ResponseWriter, r *http.Request) {
 
 // videoRef resolves a video ID to its content address under the shard
 // lock. Only scalars cross the lock — no payload bytes are touched, let
-// alone copied, while it is held — and the cache-hit GET path through
-// here plus blobs.Bytes is allocation-free (gated by a test).
+// alone copied, while it is held — and the resident-hit GET path through
+// here plus the blob lookup is allocation-free (gated by a test).
 func (s *Server) videoRef(id string) (hash, etag string, size int64, banned, ok bool) {
 	vsh := s.videos.Shard(id)
 	vsh.RLock()
@@ -1146,26 +1143,40 @@ func (s *Server) handleGetVideo(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	if r.Header.Get("Range") == "" {
-		// Full-body fast path: resident bytes (memory tier, or a byte-
-		// cache hit on the file tier) go straight out, no seeker.
-		if b, fast := s.blobs.Bytes(hash); fast {
-			h.Set("Content-Length", strconv.FormatInt(size, 10))
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(b)
-			return
-		}
-	}
-	rc, _, err := s.blobs.Open(hash)
+	// One blob lookup per request: it yields resident bytes (memory
+	// tier, byte-cache hit, or the repeat miss that just admitted them)
+	// or an open reader, and counts exactly one cache hit or miss.
+	b, rc, _, err := s.blobs.Fetch(hash)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	defer rc.Close()
-	// ServeContent answers Range/206/416 and If-Range; a file-tier blob
-	// arrives as the *os.File itself, so on a real socket the copy is
-	// kernel-side sendfile.
-	http.ServeContent(w, r, "", time.Time{}, rc)
+	if rc != nil {
+		defer rc.Close()
+	}
+	if r.Header.Get("Range") == "" && size <= s.blobs.ChunkBytes() {
+		// Full GET of a cache-eligible blob: resident bytes go straight
+		// out; a first miss copies the *os.File, which net/http turns
+		// into kernel-side sendfile on a real socket, so nothing is read
+		// into the heap. CopyN, as in ServeContent, hides the file's
+		// WriterTo so the copy reaches the connection's ReadFrom.
+		h.Set("Content-Length", strconv.FormatInt(size, 10))
+		w.WriteHeader(http.StatusOK)
+		if rc == nil {
+			_, _ = w.Write(b)
+		} else {
+			_, _ = io.CopyN(w, rc, size)
+		}
+		return
+	}
+	// Range requests and larger-than-chunk blobs: ServeContent answers
+	// Range/206/416 and If-Range, and drives a file-tier *os.File with
+	// sendfile too.
+	var content io.ReadSeeker = rc
+	if rc == nil {
+		content = bytes.NewReader(b)
+	}
+	http.ServeContent(w, r, "", time.Time{}, content)
 }
 
 func (s *Server) handleFlag(w http.ResponseWriter, r *http.Request) {
@@ -1287,32 +1298,36 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	writeConditional(w, r, tag, body)
 }
 
-// renderResults computes the filtered campaign summary and marshals it
-// exactly as writeJSON would. Caller holds the campaign's shard lock;
-// video shard read-locks nest inside campaign locks by convention.
+// renderResults builds the filtered campaign summary from the
+// incremental §4.3 fold and marshals it exactly as writeJSON would. The
+// fold performs the batch filter's float operations in the same order
+// (the incremental-equivalence contract), so the bytes equal
+// filtering.Clean + WisdomOfCrowd / ABByVideo over the completed
+// records without re-filtering them. Caller holds the campaign's shard
+// lock; video shard read-locks nest inside campaign locks by
+// convention.
 func (s *Server) renderResults(c *campaignState) ([]byte, error) {
-	outcome := filtering.Clean(c.records, 0)
+	sum := c.analytics.Summary()
 	res := ResultsResponse{
 		Campaign:     c.ID,
-		Participants: outcome.Summary.Total,
-		Kept:         outcome.Summary.Kept,
-		Engagement:   outcome.Summary.Engagement(),
-		Soft:         outcome.Summary.Soft,
-		Control:      outcome.Summary.Control,
+		Participants: sum.Total,
+		Kept:         sum.Kept,
+		Engagement:   sum.Engagement(),
+		Soft:         sum.Soft,
+		Control:      sum.Control,
 		PerVideo:     map[string]VideoAg{},
 	}
 	switch c.Kind {
 	case "timeline":
-		filtered := filtering.WisdomOfCrowd(filtering.TimelineByVideo(outcome.Kept))
-		for id, vals := range filtered {
+		for id, band := range c.analytics.TimelineBands(filtering.WisdomLo, filtering.WisdomHi) {
 			res.PerVideo[id] = VideoAg{
-				Responses: len(vals),
-				MeanUPLT:  stats.Sample(vals).Mean(),
+				Responses: band.InBand,
+				MeanUPLT:  band.Mean,
 				Banned:    s.videoBanned(id),
 			}
 		}
 	case "ab":
-		for id, votes := range filtering.ABByVideo(outcome.Kept) {
+		for id, votes := range c.analytics.Votes() {
 			res.PerVideo[id] = VideoAg{
 				Responses: votes.Total(),
 				Agreement: votes.Agreement(),
@@ -1320,11 +1335,12 @@ func (s *Server) renderResults(c *campaignState) ([]byte, error) {
 			}
 		}
 	}
-	buf, err := json.Marshal(res)
+	buf, err := encodeJSON(&res)
 	if err != nil {
 		return nil, err
 	}
-	return append(buf, '\n'), nil
+	defer putBuf(buf)
+	return bytes.Clone(buf.Bytes()), nil
 }
 
 // record converts a completed session into a filtering.SessionRecord.

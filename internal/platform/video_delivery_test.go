@@ -10,11 +10,18 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
+
+	"github.com/eyeorg/eyeorg/internal/browsersim"
+	"github.com/eyeorg/eyeorg/internal/video"
+	"github.com/eyeorg/eyeorg/internal/vision"
 )
 
 // getVideo issues a GET for a video with optional Range and
@@ -257,6 +264,11 @@ func TestVideoCacheHitPathAllocFree(t *testing.T) {
 		if !fast || len(b) != want {
 			t.Fatal("Bytes fast path failed")
 		}
+		// The handler's one lookup must be as cheap on a resident blob.
+		b, rc, _, err := srv.blobs.Fetch(hash)
+		if err != nil || rc != nil || len(b) != want {
+			t.Fatal("Fetch resident path failed")
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("cache-hit GET path allocated %.1f times per request, want 0", allocs)
@@ -422,4 +434,136 @@ func FuzzRangeHeader(f *testing.F) {
 			t.Fatalf("video GET answered %d for Range=%q If-None-Match=%q", rec.Code, rangeHdr, inm)
 		}
 	})
+}
+
+// longVideoBytes encodes a valid capture of the given frame count at
+// 10 fps: distinct frame counts give distinct blobs, and the payload
+// grows with the frame count.
+func longVideoBytes(frames int) []byte {
+	paints := []browsersim.PaintEvent{
+		{T: 300 * time.Millisecond, Rect: vision.Rect{X: 0, Y: 0, W: vision.GridW, H: vision.GridH}, Value: 1},
+		{T: 1200 * time.Millisecond, Rect: vision.Rect{X: 0, Y: 2, W: 30, H: 10}, Value: 2},
+	}
+	return video.Encode(video.Capture(paints, time.Duration(frames)*100*time.Millisecond, 10))
+}
+
+// coldFileTierServer uploads the given payloads as videos of one
+// campaign on a file-tier server, then reopens it so the byte cache
+// starts cold (uploads prewarm it).
+func coldFileTierServer(t *testing.T, payloads ...[]byte) (*client, []string) {
+	t.Helper()
+	dir := t.TempDir()
+	srv, err := Open(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newClientFor(t, srv)
+	var created CreateCampaignResponse
+	if code := c.do("POST", "/api/v1/campaigns", CreateCampaignRequest{Name: "cold", Kind: "timeline"}, &created); code != http.StatusCreated {
+		t.Fatalf("create campaign: %d", code)
+	}
+	var vids []string
+	for _, p := range payloads {
+		var added AddVideoResponse
+		if code := c.do("POST", "/api/v1/campaigns/"+created.ID+"/videos", p, &added); code != http.StatusCreated {
+			t.Fatalf("add video: %d", code)
+		}
+		vids = append(vids, added.ID)
+	}
+	c.srv.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { re.Close() })
+	return newClientFor(t, re), vids
+}
+
+// TestVideoMissCountedOnce pins the blob cache's miss counter to one
+// per served miss: a cold GET adds exactly 1, the repeat miss that
+// admits the blob adds 1 more, and the next GET is a hit.
+func TestVideoMissCountedOnce(t *testing.T) {
+	payload := sampleVideoBytes()
+	c, vids := coldFileTierServer(t, payload)
+	for i, want := range []struct{ misses, hits string }{{"1", "0"}, {"2", "0"}, {"2", "1"}} {
+		resp, body := getVideo(c, vids[0], "", "")
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
+			t.Fatalf("GET #%d: %d, %d bytes", i+1, resp.StatusCode, len(body))
+		}
+		m := scrape(t, c)
+		if got := metricValue(t, m, "eyeorg_blobcache_misses_total"); got != want.misses {
+			t.Fatalf("after GET #%d: misses_total = %s, want %s", i+1, got, want.misses)
+		}
+		if got := metricValue(t, m, "eyeorg_blobcache_hits_total"); got != want.hits {
+			t.Fatalf("after GET #%d: hits_total = %s, want %s", i+1, got, want.hits)
+		}
+	}
+}
+
+// TestVideoFileTierGetAllocsBounded measures the heap a full GET of a
+// cache-eligible file-tier blob costs the process, over real loopback
+// with an allocation-free raw client: on the first miss (sendfile from
+// the *os.File), the second (one read that is admitted) and a hit, it
+// must stay under twice the blob's size — no second copy of the bytes.
+func TestVideoFileTierGetAllocsBounded(t *testing.T) {
+	// payloads[0] only warms net/http's pooled copy buffers before the
+	// measured phases read payloads[1:].
+	payloads := make([][]byte, 5)
+	for i := range payloads {
+		payloads[i] = longVideoBytes(400 + i)
+	}
+	size := len(payloads[1])
+	if size < 8<<10 {
+		t.Fatalf("test video is %d bytes; too small to tell a copy from request overhead", size)
+	}
+	c, vids := coldFileTierServer(t, payloads...)
+	conn, err := net.Dial("tcp", c.srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A short or missing reply must fail the test, not block it.
+	if err := conn.SetDeadline(time.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4*size)
+	get := func(i int) {
+		req := "GET /api/v1/videos/" + vids[i] + " HTTP/1.1\r\nHost: eyeorg\r\n\r\n"
+		if _, err := io.WriteString(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		n, head := 0, -1
+		for head < 0 || n < head+len(payloads[i]) {
+			m, err := conn.Read(buf[n:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += m
+			if head < 0 {
+				if k := bytes.Index(buf[:n], []byte("\r\n\r\n")); k >= 0 {
+					head = k + 4
+				}
+			}
+		}
+		if !bytes.HasPrefix(buf, []byte("HTTP/1.1 200")) || !bytes.Equal(buf[head:n], payloads[i]) {
+			t.Fatalf("GET %s: bad response %q", vids[i], buf[:head])
+		}
+	}
+	get(0)
+	var before, after runtime.MemStats
+	for _, phase := range []string{"first miss", "second miss", "hit"} {
+		runtime.ReadMemStats(&before)
+		for i := 1; i < len(vids); i++ {
+			get(i)
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(vids)-1)
+		t.Logf("%s: %d bytes allocated per GET of a %d-byte blob", phase, per, size)
+		if per >= uint64(2*size) {
+			t.Errorf("%s: a full GET of a %d-byte blob allocated %d bytes, want < %d", phase, size, per, 2*size)
+		}
+	}
 }

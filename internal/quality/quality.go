@@ -389,19 +389,25 @@ func (c *Campaign) TimelineFiltered(lo, hi float64) map[string][]float64 {
 }
 
 // TimelineBands summarises each video's band: total and in-band counts,
-// the percentile bounds, and the in-band mean.
+// the percentile bounds, and the in-band mean. It counts and sums the
+// band in insertion order without materializing it, performing exactly
+// the float operations stats.Sample.Mean does on Filtered's output.
 func (c *Campaign) TimelineBands(lo, hi float64) map[string]Band {
 	out := make(map[string]Band, len(c.timeline))
 	for id, sk := range c.timeline {
 		lv, hv := sk.Band(lo, hi)
-		filtered := sk.Filtered(lo, hi)
-		out[id] = Band{
-			Total:  sk.Len(),
-			InBand: len(filtered),
-			Lo:     lv,
-			Hi:     hv,
-			Mean:   stats.Sample(filtered).Mean(),
+		b := Band{Total: sk.Len(), Lo: lv, Hi: hv}
+		sum := 0.0
+		for _, v := range sk.values {
+			if v >= lv && v <= hv {
+				b.InBand++
+				sum += v
+			}
 		}
+		if b.InBand > 0 {
+			b.Mean = sum / float64(b.InBand)
+		}
+		out[id] = b
 	}
 	return out
 }

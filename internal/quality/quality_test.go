@@ -9,6 +9,7 @@ import (
 
 	"github.com/eyeorg/eyeorg/internal/crowd"
 	"github.com/eyeorg/eyeorg/internal/filtering"
+	"github.com/eyeorg/eyeorg/internal/stats"
 	"github.com/eyeorg/eyeorg/internal/survey"
 )
 
@@ -207,6 +208,19 @@ func TestPropertyCampaignMatchesClean(t *testing.T) {
 				got := camp.TimelineFiltered(filtering.WisdomLo, filtering.WisdomHi)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d: bands diverge\nlive:    %v\noffline: %v", seed, got, want)
+				}
+				// The band summary is bit-equal to counting and
+				// averaging the batch band.
+				bands := camp.TimelineBands(filtering.WisdomLo, filtering.WisdomHi)
+				if len(bands) != len(want) {
+					t.Fatalf("seed %d: %d band summaries, offline %d videos", seed, len(bands), len(want))
+				}
+				for id, vals := range want {
+					b := bands[id]
+					if b.InBand != len(vals) || b.Mean != stats.Sample(vals).Mean() {
+						t.Fatalf("seed %d %s: band %+v, offline %d in band with mean %v",
+							seed, id, b, len(vals), stats.Sample(vals).Mean())
+					}
 				}
 			} else {
 				want := filtering.ABByVideo(offline.Kept)

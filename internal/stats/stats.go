@@ -84,7 +84,7 @@ func (s Sample) Sorted() Sample {
 // interpolation between closest ranks. It panics if p is out of range and
 // returns 0 for an empty sample.
 func (s Sample) Percentile(p float64) float64 {
-	return percentileSorted(s.Sorted(), p)
+	return PercentileSorted(s.Sorted(), p)
 }
 
 // ValidPercentile reports whether p is a legal percentile argument.
@@ -96,11 +96,12 @@ func ValidPercentile(p float64) bool {
 	return !math.IsNaN(p) && p >= 0 && p <= 100
 }
 
-// percentileSorted is the shared closest-ranks interpolation over an
+// PercentileSorted is the shared closest-ranks interpolation over an
 // already ascending slice. Sample.Percentile and SortedSample.Percentile
 // both delegate here, so a streamed sample answers bit-identically to a
-// batch re-sort of the same observations.
-func percentileSorted(sorted []float64, p float64) float64 {
+// batch re-sort of the same observations; callers that sorted a slice
+// themselves read it here without a copy.
+func PercentileSorted(sorted []float64, p float64) float64 {
 	if p < 0 || p > 100 {
 		panic("stats: percentile out of range")
 	}
@@ -146,7 +147,7 @@ func (s *SortedSample) Len() int { return len(s.vals) }
 // interpolation as Sample.Percentile: identical observations give
 // identical answers, whichever type computed them.
 func (s *SortedSample) Percentile(p float64) float64 {
-	return percentileSorted(s.vals, p)
+	return PercentileSorted(s.vals, p)
 }
 
 // Values returns a copy of the ascending observations. Callers often
