@@ -15,43 +15,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"github.com/eyeorg/eyeorg/internal/telemetry"
 )
 
-// promHist is one parsed histogram family: sorted bucket upper bounds
-// (seconds) with cumulative counts, +Inf last.
+// promHist is one parsed histogram family in telemetry.BucketQuantile's
+// shape: sorted bucket upper bounds (seconds) and per-bucket counts.
 type promHist struct {
 	bounds []float64 // +Inf excluded; counts has one extra entry for it
-	counts []uint64  // cumulative, len(bounds)+1
-}
-
-// quantile mirrors telemetry.Histogram.Quantile: linear interpolation
-// inside the covering bucket, overflow clamped to the top bound.
-func (h *promHist) quantile(q float64) float64 {
-	if len(h.counts) == 0 {
-		return 0
-	}
-	total := h.counts[len(h.counts)-1]
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var prev uint64
-	for i, cum := range h.counts {
-		if float64(cum) >= rank && cum > prev {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if i == len(h.bounds) {
-				return lo
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(prev)) / float64(cum-prev)
-			return lo + (hi-lo)*frac
-		}
-		prev = cum
-	}
-	return h.bounds[len(h.bounds)-1]
+	counts []uint64  // per bucket, len(bounds)+1
+	total  uint64
 }
 
 // parseBucketLine splits one exposition line into (metric, labels,
@@ -115,15 +88,18 @@ func mergeHistograms(exposition, metric string, keep func(endpoint string) bool)
 	if !hasInf {
 		return &promHist{}
 	}
-	h := &promHist{bounds: make([]float64, 0, len(byBound))}
+	h := &promHist{bounds: make([]float64, 0, len(byBound)), total: inf}
 	for b := range byBound {
 		h.bounds = append(h.bounds, b)
 	}
 	sort.Float64s(h.bounds)
+	// The exposition's buckets are cumulative; difference them.
+	var prev uint64
 	for _, b := range h.bounds {
-		h.counts = append(h.counts, byBound[b])
+		h.counts = append(h.counts, byBound[b]-prev)
+		prev = byBound[b]
 	}
-	h.counts = append(h.counts, inf)
+	h.counts = append(h.counts, inf-prev)
 	return h
 }
 
@@ -146,10 +122,10 @@ func scrapeIngestP99(client *http.Client, target string) (float64, error) {
 	}
 	ingest := func(endpoint string) bool { return endpoint == "events" || endpoint == "response" }
 	h := mergeHistograms(string(body), "eyeorg_http_request_seconds", ingest)
-	if len(h.counts) == 0 || h.counts[len(h.counts)-1] == 0 {
+	if h.total == 0 {
 		return 0, fmt.Errorf("no ingest samples in exposition")
 	}
-	return h.quantile(0.99) * 1000, nil
+	return telemetry.BucketQuantile(h.bounds, h.counts, 0.99) * 1000, nil
 }
 
 // roundMs rounds a float millisecond value to the microsecond, the

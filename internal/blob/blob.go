@@ -332,8 +332,9 @@ func syncDir(dir string) error {
 	return err
 }
 
-// PutBytes stores b (used by journal replay of legacy inline-data
-// records and by tests).
+// PutBytes stores b: the payload an InlineVideos journal record
+// carries to a replication follower, a campaign import's blobs, and
+// tests.
 func (s *Store) PutBytes(b []byte) (Ref, bool, error) {
 	return s.Put(bytes.NewReader(b))
 }

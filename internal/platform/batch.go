@@ -1,21 +1,19 @@
-// Binary batch ingest: the wire-protocol (EYB1) side of
-// POST /api/v1/sessions/{id}/events.
+// Event ingest: POST /api/v1/sessions/{id}/events in both encodings.
 //
 // Content-type negotiation picks the decoder: application/x-eyeorg-batch
 // bodies carry a whole session's buffered interactions in one
-// length-prefixed binary batch (see internal/wire), anything else stays
-// on the JSON path. A batch rides the same pipeline as JSON events —
-// trace stages, admission, one journal record, group commit — but
-// applies all its records under ONE session-shard lock acquisition, and
-// admission charges the worker's token bucket per decoded record, so a
-// 500-event batch costs 500 tokens, not 1.
+// length-prefixed binary batch (see internal/wire); anything else is
+// one JSON EventBatch, which AppendWireRecords converts to the same
+// wire records. Both then take one path: one opBatch journal record
+// (the EYB1 bytes; journal encodes a JSON body's records), group commit,
+// and applyBatch, which applies every record under ONE session-shard
+// lock acquisition. Admission charges a binary batch's worker token
+// bucket per decoded record, so a 500-event batch costs 500 tokens,
+// not 1; a JSON body costs its request's one token.
 //
-// Equivalence with the JSON path is by construction: AppendWireRecords
-// converts an EventBatch to wire records using the exact float→Duration
-// arithmetic applyEvents uses, and applyWireRecord writes the same
-// fields the JSON apply writes. The differential suite
-// (differential_test.go) holds the two protocols to byte-identical
-// /results and /analytics, including across crash+replay.
+// The differential suite (differential_test.go) holds the two
+// encodings to byte-identical /results and /analytics, including
+// across crash+replay.
 package platform
 
 import (
@@ -43,11 +41,9 @@ func isWireBatch(r *http.Request) bool {
 // AppendWireRecords converts one JSON-shaped EventBatch into its wire
 // records and appends them to dst: an instruction record when the
 // batch sets InstructionMs, an engagement record when it names a
-// video — the same guards, in the same order, as the JSON apply path.
-// The ms→ns conversion is the exact expression applyEvents evaluates,
-// so a batch ingested over either protocol lands identical durations.
-// Shared with cmd/loadgen's binary client mode and the differential
-// suite.
+// video. The JSON handler ingests through it, so a batch posted in
+// either encoding lands identical durations. Shared with
+// cmd/loadgen's binary client mode and the differential suite.
 func AppendWireRecords(dst []wire.Record, b EventBatch) []wire.Record {
 	if b.InstructionMs > 0 {
 		dst = append(dst, wire.Record{
@@ -69,6 +65,37 @@ func AppendWireRecords(dst []wire.Record, b EventBatch) []wire.Record {
 		})
 	}
 	return dst
+}
+
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	// Content-type negotiation: an EYB1 binary batch takes the pooled
+	// zero-alloc decode path; everything else is the JSON surface.
+	if isWireBatch(r) {
+		s.handleEventsBinary(w, r)
+		return
+	}
+	tr := requestTrace(w)
+	tr.Mark(trace.StageReceive)
+	id := r.PathValue("id")
+	tr.SetSession(id)
+	var batch EventBatch
+	if err := s.readJSON(w, r, &batch); err != nil {
+		s.writeBodyErr(w, err, err.Error())
+		return
+	}
+	tr.Mark(trace.StageDecode)
+	// The body journals as EYB1, whose decoder refuses a longer ID: an
+	// acked record must replay.
+	if len(batch.VideoID) > wire.MaxString {
+		writeErr(w, http.StatusBadRequest, fmt.Sprintf("video_id exceeds %d bytes", wire.MaxString))
+		return
+	}
+	ev := &event{Op: opBatch, ID: id, records: AppendWireRecords(nil, batch), tr: tr}
+	if err := s.mutate(tr, func() (uint64, error) { return s.applyBatch(ev) }); err != nil {
+		writeErr(w, statusFor(err), err.Error())
+		return
+	}
+	writeJSON(w, http.StatusAccepted, map[string]string{"status": "recorded"})
 }
 
 // applyWireRecord folds one decoded record into a session. Caller

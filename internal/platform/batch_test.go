@@ -3,6 +3,7 @@ package platform
 import (
 	"bytes"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,5 +157,47 @@ func TestBatchContentNegotiation(t *testing.T) {
 	if got := c.do(http.MethodPost, "/api/v1/sessions/"+jr.Session+"/events",
 		EventBatch{VideoID: "v", LoadMs: 1, TimeOnVideoMs: 1}, nil); got != http.StatusAccepted {
 		t.Fatalf("JSON path after binary posts: status %d, want 202", got)
+	}
+}
+
+// TestJSONEventsVideoIDCap guards the JSON side of the EYB1 string cap:
+// a JSON body journals as an EYB1 batch, so a video_id one byte past
+// wire.MaxString is refused with 400 before anything is journaled, and
+// one at the cap is acked and survives a crash replay to byte-identical
+// /results.
+func TestJSONEventsVideoIDCap(t *testing.T) {
+	dir := t.TempDir()
+	_, c := openPersisted(t, dir, Options{})
+	campaign, _ := seedPersistedCampaign(t, c)
+	jr := join(c, campaign, "long-id")
+	events := "/api/v1/sessions/" + jr.Session + "/events"
+
+	tooLong := EventBatch{VideoID: strings.Repeat("x", wire.MaxString+1), Plays: 1}
+	if code := c.do("POST", events, tooLong, nil); code != http.StatusBadRequest {
+		t.Fatalf("%d-byte video_id: status %d, want 400", len(tooLong.VideoID), code)
+	}
+	atCap := EventBatch{VideoID: strings.Repeat("y", wire.MaxString), LoadMs: 800, TimeOnVideoMs: 5000, Plays: 2}
+	if code := c.do("POST", events, atCap, nil); code != http.StatusAccepted {
+		t.Fatalf("%d-byte video_id: status %d, want 202", len(atCap.VideoID), code)
+	}
+	completeSession(c, jr, 1300, true, 3, 0)
+	before := rawResults(t, c, campaign)
+
+	// Crash: abandon the server without Close, then replay its journal.
+	c.srv.Close()
+	srv2, c2 := openPersisted(t, dir, Options{})
+	defer srv2.Close()
+	if after := rawResults(t, c2, campaign); !bytes.Equal(before, after) {
+		t.Fatalf("results diverged across replay:\n before: %s\n after:  %s", before, after)
+	}
+	sess, ok := srv2.sessions.Get(jr.Session)
+	if !ok {
+		t.Fatal("session lost across replay")
+	}
+	if tr, ok := sess.traces[atCap.VideoID]; !ok || tr.Plays != 2 {
+		t.Fatalf("at-cap engagement record not replayed: %+v", tr)
+	}
+	if _, ok := sess.traces[tooLong.VideoID]; ok {
+		t.Fatal("refused engagement record was applied")
 	}
 }

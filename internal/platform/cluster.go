@@ -236,7 +236,7 @@ func (s *Server) CampaignOfRecord(payload []byte) (string, bool) {
 		return ev.ID, true
 	case opVideo, opSession:
 		return ev.Campaign, true
-	case opEvents, opBatch, opResponse:
+	case opBatch, opResponse:
 		return s.CampaignOf(ev.ID)
 	case opFlag:
 		return s.CampaignOfVideo(ev.ID)

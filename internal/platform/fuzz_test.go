@@ -10,7 +10,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"github.com/eyeorg/eyeorg/internal/wire"
 )
 
 type fuzzEnv struct {
@@ -89,6 +92,8 @@ func FuzzEventsBody(f *testing.F) {
 	f.Add([]byte(`{"watched_fraction":1e308,"plays":2147483647}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"video_id":123}`))
+	// One byte past the EYB1 string cap the journal encodes under.
+	f.Add([]byte(`{"video_id":"` + strings.Repeat("x", wire.MaxString+1) + `","plays":1}`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkSane(t, env.do("POST", "/api/v1/sessions/"+env.session+"/events", body))

@@ -43,7 +43,6 @@ const (
 	opCampaign = "campaign"
 	opVideo    = "video"
 	opSession  = "session"
-	opEvents   = "events"
 	opBatch    = "batch"
 	opResponse = "response"
 	opFlag     = "flag"
@@ -59,28 +58,27 @@ const (
 // (campaign, video or session by op).
 //
 // Video records carry a content address (Hash + Size) into the blob
-// store, never the payload: the blob file is made durable before the
-// record referencing it is journaled, so replay always finds the bytes.
-// Data remains only so journals written before content addressing still
-// replay — applyVideo re-stores such inline payloads through the blob
-// store, landing on the same hash deterministically.
+// store: the blob file is made durable before the record referencing
+// it is journaled, so replay always finds the bytes. A video record
+// without a hash is refused. Data carries the payload too only on an
+// InlineVideos server, for replication followers, whose blob stores
+// start empty.
 type event struct {
 	Op       string         `json:"op"`
 	ID       string         `json:"id,omitempty"`
 	Campaign string         `json:"campaign,omitempty"`
 	Name     string         `json:"name,omitempty"`
 	Kind     string         `json:"kind,omitempty"`
-	Data     []byte         `json:"data,omitempty"` // legacy inline video payload
+	Data     []byte         `json:"data,omitempty"` // InlineVideos payload
 	Hash     string         `json:"hash,omitempty"`
 	Size     int64          `json:"size,omitempty"`
 	Worker   *Worker        `json:"worker,omitempty"`
 	Tests    []AssignedTest `json:"tests,omitempty"`
-	Batch    *EventBatch    `json:"batch,omitempty"`
 	Body     *ResponseBody  `json:"body,omitempty"`
 	Flagger  string         `json:"flagger,omitempty"`
-	// Wire is an opBatch record's raw EYB1 payload: the journal stores
-	// the compact wire bytes a binary batch arrived as, and replay runs
-	// them back through the same pooled decoder the live path used.
+	// Wire is an opBatch record's EYB1 payload: the bytes a binary
+	// batch arrived as, or journal's encoding of a JSON body's records.
+	// Replay decodes it back through the pooled decoder.
 	Wire []byte `json:"wire,omitempty"`
 	// Target is an opHandoff record's destination node; State is an
 	// opImport record's campaignExport document and Tail its journal
@@ -94,8 +92,8 @@ type event struct {
 	// event moves through its apply function. Unexported so it never
 	// reaches the journal; nil during replay and when tracing is off.
 	tr *trace.Trace
-	// records carries the live path's already-decoded batch so
-	// applyBatch does not decode Wire twice; nil during replay.
+	// records carries an opBatch's records: the live handler's decode
+	// or conversion, or replayBatch's decode of Wire.
 	records []wire.Record
 	// noJournal suppresses journaling for this apply: opImport replays
 	// its Tail through the normal apply functions, and those events are
@@ -110,11 +108,24 @@ type event struct {
 // shard locks are released, so an fsync (or a group-commit flush
 // window) never serializes a shard. Returns 0 in memory mode and
 // during replay.
+//
+// A JSON /events batch arrives without wire bytes; it journals as the
+// EYB1 encoding of its records, made by a pooled encoder only here,
+// where a log exists to take it.
 func (s *Server) journal(ev *event) (uint64, error) {
 	if s.log == nil || s.replaying || ev.noJournal {
 		return 0, nil
 	}
+	var enc *wire.Encoder
+	if ev.Op == opBatch && ev.Wire == nil {
+		enc = wire.GetEncoder()
+		ev.Wire = enc.Encode(ev.records)
+	}
 	buf, err := json.Marshal(ev)
+	if enc != nil {
+		ev.Wire = nil
+		wire.PutEncoder(enc)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -135,12 +146,8 @@ func (s *Server) applyEvent(ev *event) error {
 	case opSession:
 		_, err := s.applySession(ev)
 		return err
-	case opEvents:
-		_, err := s.applyEvents(ev)
-		return err
 	case opBatch:
-		_, err := s.applyBatch(ev)
-		return err
+		return s.replayBatch(ev)
 	case opResponse:
 		_, _, err := s.applyResponse(ev)
 		return err
@@ -197,6 +204,9 @@ func (s *Server) applyCampaign(ev *event) (uint64, error) {
 }
 
 func (s *Server) applyVideo(ev *event) (uint64, error) {
+	if ev.Hash == "" {
+		return 0, fmt.Errorf("video %s record has no content hash", ev.ID)
+	}
 	csh := s.campaigns.Shard(ev.Campaign)
 	csh.Lock()
 	defer csh.Unlock()
@@ -207,16 +217,7 @@ func (s *Server) applyVideo(ev *event) (uint64, error) {
 	if c.movedTo != "" {
 		return 0, fmt.Errorf("%w: campaign %s now owned by %s", errCampaignMoved, c.ID, c.movedTo)
 	}
-	// Pre-content-addressing journals carry the payload inline: re-store
-	// it through the blob store. Put is deterministic (same bytes, same
-	// hash), so every replay lands the same reference.
-	if ev.Hash == "" {
-		ref, _, err := s.blobs.PutBytes(ev.Data)
-		if err != nil {
-			return 0, err
-		}
-		ev.Hash, ev.Size = ref.Hash, ref.Size
-	} else if len(ev.Data) > 0 && !s.blobs.Has(ev.Hash) {
+	if len(ev.Data) > 0 && !s.blobs.Has(ev.Hash) {
 		// InlineVideos record landing on a follower (or replaying after
 		// blob loss): the payload rides in the record — re-store it.
 		if _, _, err := s.blobs.PutBytes(ev.Data); err != nil {
@@ -293,7 +294,26 @@ func assignedVideos(tests []AssignedTest) []string {
 	return vids
 }
 
-func (s *Server) applyEvents(ev *event) (uint64, error) {
+// replayBatch decodes a journaled opBatch record's wire bytes through
+// the pooled decoder and applies them.
+func (s *Server) replayBatch(ev *event) error {
+	dec := wire.GetDecoder()
+	defer wire.PutDecoder(dec)
+	recs, err := dec.Decode(ev.Wire)
+	if err != nil {
+		return fmt.Errorf("batch payload: %w", err)
+	}
+	ev.records = recs
+	_, err = s.applyBatch(ev)
+	return err
+}
+
+// applyBatch applies ev.records, the instruction and engagement
+// records of one /events request in either encoding: every record
+// lands under a single session-shard lock acquisition, and the whole
+// batch is one journal record, so a replayed journal either carries
+// all of a batch or none of it.
+func (s *Server) applyBatch(ev *event) (uint64, error) {
 	ssh := s.sessions.Shard(ev.ID)
 	ssh.Lock()
 	defer ssh.Unlock()
@@ -314,65 +334,8 @@ func (s *Server) applyEvents(ev *event) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	batch := ev.Batch
-	if batch.InstructionMs > 0 {
-		sess.instruction = time.Duration(batch.InstructionMs * float64(time.Millisecond))
-	}
-	if batch.VideoID != "" {
-		trace := survey.VideoTrace{
-			VideoID:         batch.VideoID,
-			LoadTime:        time.Duration(batch.LoadMs * float64(time.Millisecond)),
-			TimeOnVideo:     time.Duration(batch.TimeOnVideoMs * float64(time.Millisecond)),
-			Plays:           batch.Plays,
-			Pauses:          batch.Pauses,
-			Seeks:           batch.Seeks,
-			WatchedFraction: batch.WatchedFraction,
-			OutOfFocus:      time.Duration(batch.OutOfFocusMs * float64(time.Millisecond)),
-		}
-		sess.traces[batch.VideoID] = &trace
-		sess.track.Observe(trace)
-	}
-	s.countMutation(opEvents)
-	return seq, nil
-}
-
-// applyBatch applies one binary batch: every record lands under a
-// single session-shard lock acquisition (the JSON path takes the lock
-// once per record), and the whole batch is one journal record, so a
-// replayed journal either carries all of a batch or none of it. On the
-// live path ev.records holds the handler's decode; during replay the
-// raw wire bytes are decoded here through the same pooled decoder.
-func (s *Server) applyBatch(ev *event) (uint64, error) {
-	recs := ev.records
-	if recs == nil {
-		dec := wire.GetDecoder()
-		defer wire.PutDecoder(dec)
-		var err error
-		recs, err = dec.Decode(ev.Wire)
-		if err != nil {
-			return 0, fmt.Errorf("batch payload: %w", err)
-		}
-	}
-	ssh := s.sessions.Shard(ev.ID)
-	ssh.Lock()
-	defer ssh.Unlock()
-	ev.tr.Mark(trace.StageLockWait)
-	sess, ok := ssh.Get(ev.ID)
-	if !ok {
-		return 0, errNoSession
-	}
-	if sess.completed {
-		return 0, errSessionDone
-	}
-	if err := s.campaignMoved(sess.Campaign); err != nil {
-		return 0, err
-	}
-	seq, err := s.journal(ev)
-	if err != nil {
-		return 0, err
-	}
-	for i := range recs {
-		applyWireRecord(sess, &recs[i])
+	for i := range ev.records {
+		applyWireRecord(sess, &ev.records[i])
 	}
 	s.countMutation(opBatch)
 	return seq, nil
@@ -582,13 +545,10 @@ type snapSession struct {
 }
 
 // snapVideo references its payload by content address; the blob file is
-// durable independently of the snapshot. Data is read (never written)
-// so snapshots from before content addressing still load — their inline
-// payloads are re-stored through the blob store on load.
+// durable independently of the snapshot.
 type snapVideo struct {
 	ID       string   `json:"id"`
 	Campaign string   `json:"campaign"`
-	Data     []byte   `json:"data,omitempty"` // legacy inline payload
 	Hash     string   `json:"hash,omitempty"`
 	Size     int64    `json:"size,omitempty"`
 	Flags    []string `json:"flags,omitempty"`
@@ -710,21 +670,16 @@ func (s *Server) restoreSession(sn *snapSession) *sessionState {
 	return sess
 }
 
-// restoreVideo rebuilds one video from its DTO, re-storing a legacy
-// inline payload and verifying the blob for a content-addressed one.
+// restoreVideo rebuilds one video from its DTO after checking that the
+// blob it references is present.
 func (s *Server) restoreVideo(vn *snapVideo) (*videoState, error) {
-	hash, size := vn.Hash, vn.Size
-	if hash == "" {
-		// Legacy snapshot: payload inline; re-store it.
-		ref, _, err := s.blobs.PutBytes(vn.Data)
-		if err != nil {
-			return nil, err
-		}
-		hash, size = ref.Hash, ref.Size
-	} else if !s.blobs.Has(hash) {
-		return nil, fmt.Errorf("snapshot video %s references missing blob %s", vn.ID, hash)
+	if vn.Hash == "" {
+		return nil, fmt.Errorf("snapshot video %s has no content hash", vn.ID)
 	}
-	v := newVideoState(vn.ID, vn.Campaign, hash, size)
+	if !s.blobs.Has(vn.Hash) {
+		return nil, fmt.Errorf("snapshot video %s references missing blob %s", vn.ID, vn.Hash)
+	}
+	v := newVideoState(vn.ID, vn.Campaign, vn.Hash, vn.Size)
 	v.Banned = vn.Banned
 	for _, worker := range vn.Flags {
 		v.Flags[worker] = true

@@ -2,11 +2,16 @@ package platform
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"github.com/eyeorg/eyeorg/internal/store"
+	"github.com/eyeorg/eyeorg/internal/wire"
 )
 
 // openPersisted opens a server over dir and wraps it in a test client.
@@ -202,5 +207,125 @@ func TestInMemoryServerHasNoJournal(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("in-memory Close should no-op: %v", err)
+	}
+}
+
+// TestJSONEventsJournalAsBatch pins the journal form of a JSON /events
+// body: one opBatch record whose wire field is the EYB1 encoding of
+// the body's records, with no JSON batch document beside it.
+func TestJSONEventsJournalAsBatch(t *testing.T) {
+	dir := t.TempDir()
+	srv, c := openPersisted(t, dir, Options{})
+	campaign, _ := setupCampaign(c, "timeline", 1)
+	jr := join(c, campaign, "journal-shape")
+	bodies := []EventBatch{
+		{InstructionMs: 12_345.5},
+		{VideoID: jr.Tests[0].VideoID, LoadMs: 900.25, TimeOnVideoMs: 21_000, Plays: 1, Seeks: 2, WatchedFraction: 0.9, OutOfFocusMs: 15},
+		{InstructionMs: 3, VideoID: jr.Tests[1].VideoID, Pauses: 4},
+		{}, // neither field: still one (empty) batch record
+	}
+	for _, b := range bodies {
+		if code := c.do("POST", "/api/v1/sessions/"+jr.Session+"/events", b, nil); code != http.StatusAccepted {
+			t.Fatalf("events %+v: %d", b, code)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jl, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	var got [][]byte
+	if err := jl.Replay(func(_ uint64, payload []byte) error {
+		var ev event
+		if err := json.Unmarshal(payload, &ev); err != nil {
+			return err
+		}
+		if ev.ID == jr.Session && ev.Op != opSession {
+			got = append(got, payload)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(bodies) {
+		t.Fatalf("journaled %d event records, want %d", len(got), len(bodies))
+	}
+	for i, b := range bodies {
+		want, err := json.Marshal(&event{Op: opBatch, ID: jr.Session, Wire: wire.AppendBatch(nil, AppendWireRecords(nil, b))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("record %d:\n got  %s\n want %s", i, got[i], want)
+		}
+	}
+}
+
+// TestOpenRefusesRemovedFormats writes data dirs holding record forms
+// no shipped journal contains — the JSON-only events op, a video
+// record without a content hash, a snapshot video without one — and
+// requires Open to fail naming the op or video rather than load a
+// partial state.
+func TestOpenRefusesRemovedFormats(t *testing.T) {
+	const campaign = `{"op":"campaign","id":"c1","name":"old","kind":"timeline"}`
+	cases := []struct {
+		name     string
+		records  []string
+		snapshot string // written after records when set
+		want     string
+	}{
+		{
+			name:    "events-op",
+			records: []string{campaign, `{"op":"events","id":"s2","batch":{"video_id":"v1","plays":1}}`},
+			want:    `unknown journal op "events"`,
+		},
+		{
+			name:    "video-without-hash",
+			records: []string{campaign, `{"op":"video","id":"v2","campaign":"c1","data":"RVlWMQ=="}`},
+			want:    "video v2 record has no content hash",
+		},
+		{
+			name:     "snapshot-video-without-hash",
+			records:  []string{campaign},
+			snapshot: `{"next_id":2,"campaigns":[{"id":"c1","name":"old","kind":"timeline","videos":["v2"]}],"videos":[{"id":"v2","campaign":"c1","data":"RVlWMQ=="}]}`,
+			want:     "snapshot video v2 has no content hash",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jl, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range tc.records {
+				if _, err := jl.Append([]byte(rec)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.snapshot != "" {
+				if err := jl.WriteSnapshot([]byte(tc.snapshot)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := jl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := Open(Options{DataDir: dir})
+			if err == nil {
+				srv.Close()
+				t.Fatal("Open accepted a removed record form")
+			}
+			if srv != nil {
+				t.Fatal("Open returned a server alongside its error")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open error %q does not name %q", err, tc.want)
+			}
+		})
 	}
 }

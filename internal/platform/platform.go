@@ -1209,30 +1209,6 @@ func (s *Server) handleFlag(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"flags": flags, "banned": banned})
 }
 
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	// Content-type negotiation: an EYB1 binary batch takes the pooled
-	// zero-alloc decode path; everything else is the JSON surface.
-	if isWireBatch(r) {
-		s.handleEventsBinary(w, r)
-		return
-	}
-	tr := requestTrace(w)
-	tr.Mark(trace.StageReceive)
-	tr.SetSession(r.PathValue("id"))
-	var batch EventBatch
-	if err := s.readJSON(w, r, &batch); err != nil {
-		s.writeBodyErr(w, err, err.Error())
-		return
-	}
-	tr.Mark(trace.StageDecode)
-	ev := &event{Op: opEvents, ID: r.PathValue("id"), Batch: &batch, tr: tr}
-	if err := s.mutate(tr, func() (uint64, error) { return s.applyEvents(ev) }); err != nil {
-		writeErr(w, statusFor(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "recorded"})
-}
-
 func (s *Server) handleResponse(w http.ResponseWriter, r *http.Request) {
 	tr := requestTrace(w)
 	tr.Mark(trace.StageReceive)

@@ -100,7 +100,7 @@ func newServerMetrics() *serverMetrics {
 		m.rejected[reason] = reg.Counter("eyeorg_admission_rejected_total", `reason="`+reason+`"`)
 	}
 	reg.Help("eyeorg_mutations_total", "Journaled state mutations applied by this process, by op.")
-	for _, op := range []string{opCampaign, opVideo, opSession, opEvents, opBatch, opResponse, opFlag, opHandoff, opImport} {
+	for _, op := range []string{opCampaign, opVideo, opSession, opBatch, opResponse, opFlag, opHandoff, opImport} {
 		m.mutation[op] = reg.Counter("eyeorg_mutations_total", `op="`+op+`"`)
 	}
 	return m

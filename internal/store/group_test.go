@@ -313,7 +313,10 @@ func TestSnapshotRotateFailureLatchesLog(t *testing.T) {
 // flush+sync ack sequences a failed fsync may have dropped — a later
 // Sync succeeding does not resurrect earlier dirty pages.
 func TestCloseDoesNotAckFailedCommits(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{GroupCommit: true, Fsync: true})
+	// The hour-long window keeps the committer from flushing (and
+	// acking) the record before the test latches the failure; Close
+	// ends the window.
+	l, err := Open(t.TempDir(), Options{GroupCommit: true, Fsync: true, GroupMaxDelay: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

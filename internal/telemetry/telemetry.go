@@ -170,17 +170,28 @@ func (h *Histogram) Sum() float64 {
 	return float64(ns) / 1e9
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) in seconds by linear
-// interpolation within the covering bucket, the same estimate
-// Prometheus' histogram_quantile computes from the exposition. Returns
-// 0 with no observations; the top bucket clamps to its lower bound (the
-// overflow bucket has no upper edge to interpolate toward).
+// Quantile estimates the q-quantile (q in [0,1]) in seconds with
+// BucketQuantile over the current bucket counts.
 func (h *Histogram) Quantile(q float64) float64 {
 	counts := make([]uint64, len(h.buckets))
-	var total uint64
 	for i := range h.buckets {
 		counts[i] = h.buckets[i].v.Load()
-		total += counts[i]
+	}
+	return BucketQuantile(h.bounds, counts, q)
+}
+
+// BucketQuantile estimates the q-quantile (q in [0,1]) of a bucketed
+// distribution by linear interpolation within the covering bucket, the
+// same estimate Prometheus' histogram_quantile computes from the
+// exposition. bounds are the ascending bucket upper edges; counts holds
+// one per-bucket (not cumulative) count per bound plus a last one for
+// the overflow bucket. Returns 0 with no observations; the overflow
+// bucket clamps to its lower bound, having no upper edge to
+// interpolate toward.
+func BucketQuantile(bounds []float64, counts []uint64, q float64) float64 {
+	var total uint64
+	for _, c := range counts {
+		total += c
 	}
 	if total == 0 {
 		return 0
@@ -192,18 +203,18 @@ func (h *Histogram) Quantile(q float64) float64 {
 		if next >= rank && c > 0 {
 			lo := 0.0
 			if i > 0 {
-				lo = h.bounds[i-1]
+				lo = bounds[i-1]
 			}
-			if i == len(h.bounds) {
+			if i == len(bounds) {
 				return lo // overflow bucket: clamp
 			}
-			hi := h.bounds[i]
+			hi := bounds[i]
 			frac := (rank - cum) / float64(c)
 			return lo + (hi-lo)*frac
 		}
 		cum = next
 	}
-	return h.bounds[len(h.bounds)-1]
+	return bounds[len(bounds)-1]
 }
 
 // --- registry ---

@@ -23,18 +23,20 @@
 //
 // Record kinds travel by name in the table (so the format can grow
 // kinds without renumbering) and by index in each record. Duration
-// fields are nanosecond integers — the encoder side converts from
-// float milliseconds with the exact arithmetic the JSON apply path
-// uses, which is what makes the two protocols equivalent by
-// construction. The three per-record duration fields are delta-encoded
-// against the previous engagement record: successive batches from one
-// session have similar magnitudes, so the zigzag varints stay short.
+// fields are nanosecond integers — the platform converts a JSON body's
+// float milliseconds to these records and applies both encodings
+// through one function, which is what makes the two protocols
+// equivalent by construction. The three per-record duration fields are
+// delta-encoded against the previous engagement record: successive
+// batches from one session have similar magnitudes, so the zigzag
+// varints stay short.
 //
 // Decoding is allocation-free at steady state: a Decoder owns its
 // record slice, table scratch and a string intern cache, and is
 // recycled through a package pool (GetDecoder/PutDecoder). The intern
 // cache means a video ID allocates once per decoder, not once per
 // record — testing.AllocsPerRun pins the warm path at 0 allocs.
+// Encoders pool the same way (GetEncoder/PutEncoder).
 package wire
 
 import (
@@ -120,8 +122,12 @@ const (
 	maxKinds   = 64
 	maxVideos  = 1 << 16
 	maxRecords = 1 << 20
-	maxString  = 1024
 )
+
+// MaxString caps a kind name or video ID in bytes. A decoder refuses a
+// longer one, so a producer must refuse it before encoding anything it
+// expects to decode again (a journal record, for one).
+const MaxString = 1024
 
 // Decode errors.
 var (
@@ -132,13 +138,32 @@ var (
 
 // --- encoding ---
 
-// Encoder holds reusable intern state for AppendBatch. The zero value
-// is ready; one Encoder is not safe for concurrent use.
+// Encoder holds reusable intern state for AppendBatch and an output
+// buffer for Encode. The zero value is ready; one Encoder is not safe
+// for concurrent use. Recycle through GetEncoder/PutEncoder.
 type Encoder struct {
 	vidIdx  map[string]int
 	vids    []string
 	kindIdx [kindMax + 1]int
 	kinds   []Kind
+	buf     []byte
+}
+
+var encPool = sync.Pool{New: func() any { return new(Encoder) }}
+
+// GetEncoder takes a pooled encoder.
+func GetEncoder() *Encoder { return encPool.Get().(*Encoder) }
+
+// PutEncoder recycles e; the bytes of its last Encode must no longer be
+// referenced.
+func PutEncoder(e *Encoder) { encPool.Put(e) }
+
+// Encode encodes recs into the encoder's reusable buffer. The result is
+// valid until the next Encode (or PutEncoder), so a warm encoder
+// encodes without allocating.
+func (e *Encoder) Encode(recs []Record) []byte {
+	e.buf = e.AppendBatch(e.buf[:0], recs)
+	return e.buf
 }
 
 // AppendBatch appends the EYB1 encoding of recs to dst and returns the
@@ -309,7 +334,7 @@ func (d *Decoder) Decode(data []byte) ([]Record, error) {
 	}
 	d.kinds = d.kinds[:0]
 	for i := uint64(0); p.err == nil && i < nKinds; i++ {
-		name := p.bytes(maxString)
+		name := p.bytes(MaxString)
 		if p.err != nil {
 			break
 		}
@@ -326,7 +351,7 @@ func (d *Decoder) Decode(data []byte) ([]Record, error) {
 	}
 	d.vids = d.vids[:0]
 	for i := uint64(0); p.err == nil && i < nVids; i++ {
-		d.vids = append(d.vids, d.internStr(p.bytes(maxString)))
+		d.vids = append(d.vids, d.internStr(p.bytes(MaxString)))
 	}
 
 	nRecs := p.uvarint()

@@ -31,6 +31,7 @@ func TestRoundTrip(t *testing.T) {
 		"instruction":  {{Kind: KindInstruction, InstructionNs: 42}},
 		"sessionFlush": sampleRecords(),
 		"nanFraction":  {{Kind: KindEngagement, VideoID: "v", WatchedFraction: math.NaN()}},
+		"maxVideoID":   {{Kind: KindEngagement, VideoID: strings.Repeat("v", MaxString)}},
 	}
 	for name, recs := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -99,6 +100,7 @@ func TestDecodeErrors(t *testing.T) {
 		"trailingByte":   append(append([]byte(nil), good...), 0),
 		"unknownKind":    append([]byte(magic), 1, 5, 'b', 'o', 'g', 'u', 's'),
 		"giantKindCount": append([]byte(magic), 0xff, 0xff, 0xff, 0xff, 0x07),
+		"longVideoID":    AppendBatch(nil, []Record{{Kind: KindEngagement, VideoID: strings.Repeat("v", MaxString+1)}}),
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -175,6 +177,23 @@ func TestDecodeFromZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("DecodeFrom allocates %.2f allocs/op at steady state, want 0", avg)
+	}
+}
+
+// TestEncodeZeroAllocs gates the pooled encoder the platform journals
+// JSON event bodies through: a warm Encoder reuses its buffer and
+// intern table, so a steady-state Encode allocates nothing, and its
+// bytes equal the one-shot AppendBatch's.
+func TestEncodeZeroAllocs(t *testing.T) {
+	recs := sampleRecords()
+	enc := GetEncoder()
+	defer PutEncoder(enc)
+	if got := enc.Encode(recs); !bytes.Equal(got, AppendBatch(nil, recs)) {
+		t.Fatal("Encode diverged from AppendBatch")
+	}
+	avg := testing.AllocsPerRun(200, func() { enc.Encode(recs) })
+	if avg != 0 {
+		t.Fatalf("steady-state Encode allocates %.2f allocs/op, want 0", avg)
 	}
 }
 
