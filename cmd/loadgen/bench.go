@@ -1,58 +1,28 @@
-// Benchmark mode (-bench): the platform's durability-mode matrix plus
-// the video-delivery hot path.
+// Benchmark mode (-bench): the in-process gate matrix CI runs against
+// the committed BENCH_platform.json. Requests dispatch straight into
+// the handler stack, so this is not an end-to-end benchmark (that is
+// crowdbench/, over loopback with the client in its own process); it
+// exists to keep a dozen regression gates cheap and stable.
 //
-// Five scenarios run the identical persona lifecycle against fresh
-// in-process servers — in-memory, buffered WAL, per-record fsync,
-// opportunistic group-commit fsync, and windowed group-commit fsync —
-// and the report lands as machine-readable JSON so a committed
-// baseline (BENCH_platform.json at the repo root) can gate regressions
-// in CI. "Ingest" is the write hot path the paper's crowd hammers: the
-// events and responses endpoints combined.
+// The bench is two tables and one loop over each:
 //
-// A sixth scenario, video-heavy, hammers the content-addressed blob
-// read path alone: a tight loop of mixed conditional (If-None-Match →
-// 304), full-body and Range GETs against the in-memory tier, driven
-// through a reused null ResponseWriter so the measurement is the
-// serving stack, not the driver. It gates two absolutes — the mem-tier
-// throughput floor and the video p99 budget — on top of the usual
-// baseline comparison.
+//   - benchRows, the scenario table. Each row boots a fresh target per
+//     trial leg (one in-process server with the row's platform.Options,
+//     or a cluster behind the router), drives it (the persona lifecycle
+//     through runLoad, a nullWriter hammer, or the decision crowd),
+//     checks the leg's health, and runs the twins it asks for: a
+//     telemetry-off twin and a tracing-on twin, back to back with the
+//     instrumented leg so host drift lands on both sides of the
+//     overhead deltas. Each row reports its median-throughput trial.
+//     Rows marked pairNext run trial-interleaved with the next row, so
+//     drift also cancels out of the pair's headline speedup.
+//   - benchGates, the gate table. Each row reads one number from the
+//     finished report (and, for the baseline rows, from -bench-compare's
+//     report) and holds it to a floor or a ceiling.
 //
-// A seventh pair, json-events and binary-batch, prices the EYB1 wire
-// protocol: the identical 64-record flush driven as 64 per-record JSON
-// POSTs and as one binary batch POST against pre-joined sessions,
-// compared in records/s. The run fails unless binary clears
-// binaryBatchFloor times the JSON rate — the gate that keeps the
-// zero-alloc decode path and single-lock batch apply earning their
-// complexity.
-//
-// A scale-out pair, single-node and cluster-3node, prices campaign
-// partitioning: the identical fsync-record crowd against one server
-// and against a 3-node in-process cluster (WAL windows shipping to
-// followers, requests proxied through the router), compared in
-// sessions/s. The run fails unless the cluster clears
-// clusterSessionFloor times the single node — the near-linear-scaling
-// gate from the cluster subsystem's charter.
-//
-// Each trial runs two twins back to back with the instrumented run: a
-// telemetry-off twin (every scenario) gating the cost of /metrics, and
-// a tracing-on twin (mem at the production 1% sample, the windowed
-// group-commit scenario at a dense 100%) gating the cost of request
-// tracing — both against -bench-overhead-tolerance on the mem
-// scenario. The durable tracing
-// twin additionally reads /debug/traces at the end of its run and
-// reduces the retained ingest traces to a per-stage p99 breakdown; the
-// bench fails unless the per-stage sum accounts for ≥90% of the
-// trace-level e2e ingest p99, so the stage attribution provably tiles
-// the latency it claims to explain.
-//
-// Every scenario starts with a warmup ramp (benchWarmup) that drives
-// the full workload without recording stats, so cold-start effects
-// never contaminate the percentiles, and every in-memory scenario's
-// latency profile passes through checkLatencySkew: a p99 more than
-// 1000x its p50 on a pure-CPU endpoint is a measurement bug (the old
-// join p99 read 243ms against a 0.025ms p50 because first-fetch video
-// decodes ran inside the clock), not a serving regression, and fails
-// the bench loudly instead of landing in a committed baseline.
+// Every leg starts with a warmup ramp (benchWarmup) that drives the
+// full workload without recording stats, so cold-start effects never
+// land in the percentiles.
 package main
 
 import (
@@ -84,9 +54,8 @@ type benchSettings struct {
 	seed        int64
 	shards      int
 	payloads    [][]byte
-	http        bool
 	trials      int
-	// dataDir is the parent for the per-scenario journal directories.
+	// dataDir is the parent for the per-leg journal directories.
 	// Empty falls back to the OS temp dir — which on distros with a
 	// tmpfs /tmp measures RAM, not storage; point it at a real disk
 	// when the fsync numbers matter.
@@ -94,18 +63,20 @@ type benchSettings struct {
 	out       string
 	baseline  string
 	tolerance float64
-	// overheadTol is the fractional throughput cost telemetry may have
-	// over an uninstrumented run of the same matrix before the bench
-	// fails (<0 disables the gate).
+	// overheadTol is the fractional throughput cost telemetry or tracing
+	// may have over the twin without it before the bench fails (<0
+	// disables the twins and their gates).
 	overheadTol float64
 }
 
+// benchTarget is the base URL direct dispatch ignores but requests need.
+const benchTarget = "http://bench.local"
+
 // directTransport dispatches requests straight into the handler on the
-// caller's goroutine. The default bench transport: it takes the TCP
-// stack — whose scheduling tail drowns the storage signal on small
-// hosts — out of the measurement, so the numbers profile the ingest
-// pipeline (handlers, shard locks, journal, fsync) itself. -bench-http
-// restores the full network path.
+// caller's goroutine. It takes the TCP stack — whose scheduling tail
+// drowns the storage signal on small hosts — out of the measurement,
+// so the numbers profile the ingest pipeline (handlers, shard locks,
+// journal, fsync) itself.
 type directTransport struct{ h http.Handler }
 
 func (d directTransport) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -125,7 +96,7 @@ type benchEndpoint struct {
 	MaxMs    float64 `json:"max_ms"`
 }
 
-// benchScenario is one durability mode's full result.
+// benchScenario is one scenario row's result.
 type benchScenario struct {
 	Name    string `json:"name"`
 	Persist bool   `json:"persist"`
@@ -154,17 +125,15 @@ type benchScenario struct {
 	// budget gates on.
 	VideoP50Ms float64 `json:"video_p50_ms,omitempty"`
 	VideoP99Ms float64 `json:"video_p99_ms,omitempty"`
-	// UninstrumentedRequestsPerS is the same scenario re-run with
-	// telemetry disabled; TelemetryOverheadPct is the throughput cost
-	// of instrumentation relative to it (positive = telemetry slower).
+	// UninstrumentedRequestsPerS is the telemetry-off twin's throughput;
+	// TelemetryOverheadPct is the throughput cost of instrumentation
+	// relative to it (positive = telemetry slower).
 	UninstrumentedRequestsPerS float64 `json:"uninstrumented_requests_per_s,omitempty"`
 	TelemetryOverheadPct       float64 `json:"telemetry_overhead_pct,omitempty"`
 	// TracedRequestsPerS is the tracing twin: the same scenario with
-	// every request stage-stamped (mem retains the production 1%
-	// sample, the durable scenario every request); TracingOverheadPct
-	// is its throughput cost relative to the tracing-off instrumented
-	// run, as a median of per-trial paired ratios (positive = tracing
-	// slower).
+	// every request stage-stamped (retaining the row's traceTwin
+	// fraction); TracingOverheadPct is its throughput cost relative to
+	// the tracing-off instrumented run (positive = tracing slower).
 	TracedRequestsPerS float64 `json:"traced_requests_per_s,omitempty"`
 	TracingOverheadPct float64 `json:"tracing_overhead_pct,omitempty"`
 	// RecordsPerS (ingest-path scenarios only) is decoded interaction
@@ -177,16 +146,15 @@ type benchScenario struct {
 	// at the end of the run. StageSumP99Ms sums the per-stage p99s and
 	// TraceTotalP99Ms is the p99 of whole-trace durations — the
 	// checkpoint model tiles wall time, so the sum must account for the
-	// e2e latency (runBench gates it at ≥90%), not merely decorate it.
+	// e2e latency (a gate holds it at ≥90%), not merely decorate it.
 	StageP99Ms      map[string]float64 `json:"stage_p99_ms,omitempty"`
 	StageSumP99Ms   float64            `json:"stage_sum_p99_ms,omitempty"`
 	TraceTotalP99Ms float64            `json:"trace_total_p99_ms,omitempty"`
-	// SessionsToDecision (decision-pair scenarios only) is how many
-	// sessions the campaign consumed before its verdict was available:
-	// the fixed budget for fixed-campaign, the stopper's closing point
-	// for adaptive-campaign. These scenarios measure sample efficiency,
-	// not throughput, so their RequestsPerS stays zero and the baseline
-	// comparison skips them.
+	// SessionsToDecision (decision rows only) is how many sessions the
+	// campaign consumed before its verdict was available: the fixed
+	// budget for fixed-campaign, the stopper's closing point for
+	// adaptive-campaign. These rows measure sample efficiency, not
+	// throughput, so their RequestsPerS stays zero.
 	SessionsToDecision int `json:"sessions_to_decision,omitempty"`
 }
 
@@ -202,22 +170,28 @@ type benchReport struct {
 	// group-commit fsync ingest p99 — the headline group-commit win.
 	FsyncIngestP99Speedup float64 `json:"fsync_ingest_p99_speedup"`
 	// BinaryBatchSpeedup is binary-batch records/s divided by
-	// json-events records/s — the headline wire-protocol win, gated at
-	// binaryBatchFloor.
+	// json-events records/s — the headline wire-protocol win.
 	BinaryBatchSpeedup float64 `json:"binary_batch_speedup"`
 	// SessionsToDecisionSpeedup is fixed-campaign sessions-to-decision
 	// divided by adaptive-campaign sessions-to-decision on the synthetic
-	// high-agreement crowd — the headline adaptive-stopping win, gated
-	// at adaptiveDecisionFloor.
+	// high-agreement crowd — the headline adaptive-stopping win.
 	SessionsToDecisionSpeedup float64 `json:"sessions_to_decision_speedup,omitempty"`
 	// ClusterSessionSpeedup is cluster-3node sessions/s divided by
 	// single-node sessions/s, both fsync-record — the headline scale-out
-	// win, gated at clusterSessionFloor.
+	// win.
 	ClusterSessionSpeedup float64         `json:"cluster_session_speedup,omitempty"`
 	Scenarios             []benchScenario `json:"scenarios"`
 }
 
 const (
+	// maxLatencySkew is the p99/p50 ceiling on the in-memory scenarios'
+	// endpoints. With no device in the path every endpoint is pure CPU,
+	// and a 1000x spread means the clock caught something that is not
+	// steady-state serving — a cold-start decode, a ramp, a stalled
+	// worker. The committed baseline once recorded a 243ms join p99
+	// against a 0.025ms p50, put there by first-fetch video decodes
+	// running inside the measured window.
+	maxLatencySkew = 1000
 	// videoReqFloor is the video-heavy scenario's absolute throughput
 	// gate: the content-addressed read path must clear 100k req/s on
 	// the in-memory tier, every run, regardless of baseline.
@@ -252,8 +226,6 @@ const (
 	// high-agreement crowd. VidPlat reports order-of-magnitude savings;
 	// 2x is the floor under which the subsystem stops earning its keep.
 	adaptiveDecisionFloor = 2.0
-	// clusterNodes is the scale-out pair's cluster size.
-	clusterNodes = 3
 	// clusterSyncFloor is the modeled device-flush latency both legs of
 	// the scale-out pair run under (store.Options.SyncDelay). CI hosts
 	// put every node's WAL on one filesystem whose journal thread
@@ -274,331 +246,287 @@ const (
 	// balance all eat into the ideal 3x; under 2.2x the partitioning
 	// stops earning its keep.
 	clusterSessionFloor = 2.2
+	// stageCoverageFloorPct is how much of the durable scenario's e2e
+	// trace p99 the per-stage p99 sum must account for — the proof that
+	// the checkpoint stages tile the latency they claim to explain.
+	stageCoverageFloorPct = 90
 )
+
+// benchRow is one row of the scenario table.
+type benchRow struct {
+	name string
+	// opts configures the row's target; runLeg adds what every leg
+	// shares (shards, telemetry, tracing, seeds, no auto-snapshots, the
+	// journal directory).
+	opts    platform.Options
+	persist bool // journal to a fresh directory under -data-dir
+	// nodes > 1 boots an in-process cluster of that many nodes behind
+	// the router instead of one server. Rows that set nodes form the
+	// scale-out pair: they spread the crowd over a campaign set, and the
+	// one-node leg runs second in each trial to replay the campaign
+	// count its cluster partner needed to cover every node.
+	nodes   int
+	drive   func(l *benchLeg) (benchScenario, error)
+	healthy func(sc benchScenario) bool
+	// plainTwin and traceTwin add a telemetry-off twin and a tracing-on
+	// twin (retaining that fraction of requests) to every trial while
+	// -bench-overhead-tolerance is armed.
+	plainTwin bool
+	traceTwin float64
+	// trials overrides -bench-trials; twinTrials adds trials while the
+	// twins run, for the row the overhead gates read (a median over 3
+	// paired ratios is one unlucky GC cycle from a phantom failure).
+	trials, twinTrials int
+	pairNext           bool // runs trial-interleaved with the next row
+	baseline           bool // gated against -bench-compare
+}
+
+// benchRows is the scenario table, in report order.
+var benchRows = []benchRow{
+	// The durability matrix: the identical persona lifecycle against
+	// in-memory, buffered WAL, per-record fsync, and opportunistic and
+	// windowed group-commit fsync. The tracing twin runs on mem, where
+	// the pure-CPU stamping cost is proportionally largest (at the
+	// production 1% retention: the always-on cost is stamping, which the
+	// sample rate does not amortize), and on the windowed scenario —
+	// the durable ingest configuration — retaining every request so its
+	// per-stage breakdown sees a dense capture. mem is not baseline-
+	// gated: it is the ceiling the others normalize by, and a foreign
+	// machine's absolute req/s is noise. fsync-record is not gated
+	// either: its serialized fsync queue swings >30% run to run, and
+	// the gated scenarios cover the same append path.
+	{name: "mem", drive: driveLifecycle, healthy: lifecycleHealthy,
+		plainTwin: true, traceTwin: 0.01, twinTrials: 2},
+	{name: "wal", persist: true, drive: driveLifecycle, healthy: lifecycleHealthy,
+		plainTwin: true, baseline: true},
+	{name: "fsync-record", persist: true, opts: platform.Options{Fsync: true},
+		drive: driveLifecycle, healthy: lifecycleHealthy, plainTwin: true},
+	{name: "fsync-group", persist: true, opts: platform.Options{Fsync: true, GroupCommit: true},
+		drive: driveLifecycle, healthy: lifecycleHealthy, plainTwin: true, baseline: true},
+	{name: "fsync-group-window", persist: true, opts: platform.Options{Fsync: true, GroupCommit: true,
+		GroupMaxDelay: 2 * time.Millisecond, GroupMaxBatch: 64},
+		drive: driveLifecycle, healthy: lifecycleHealthy, plainTwin: true, traceTwin: 1, baseline: true},
+	// The content-addressed video read path alone.
+	{name: "video-heavy", drive: driveVideo, healthy: sessionlessHealthy,
+		plainTwin: true, baseline: true},
+	// The EYB1 wire protocol: the identical 64-record flush as
+	// per-record JSON POSTs and as one binary batch POST.
+	{name: "json-events", drive: driveIngest(false), healthy: sessionlessHealthy,
+		pairNext: true, baseline: true},
+	{name: "binary-batch", drive: driveIngest(true), healthy: sessionlessHealthy, baseline: true},
+	// Adaptive stopping, priced in sessions: one trial each, because the
+	// drive is single-threaded and seeded, so reruns are bit-identical.
+	{name: "fixed-campaign", drive: driveDecision, healthy: decisionHealthy, trials: 1},
+	{name: "adaptive-campaign", opts: platform.Options{Adaptive: true, CIHalfWidth: decisionHalfWidthS},
+		drive: driveDecision, healthy: decisionHealthy, trials: 1},
+	// Campaign partitioning: the persona crowd against one per-record
+	// fsync node and a 3-node cluster. Their device variance matches
+	// fsync-record's, so the pair's gate is its speedup, not a baseline.
+	{name: "single-node", persist: true, nodes: 1, opts: platform.Options{Fsync: true, SyncDelay: clusterSyncFloor},
+		drive: driveLifecycle, healthy: lifecycleHealthy, pairNext: true},
+	{name: "cluster-3node", persist: true, nodes: 3, opts: platform.Options{Fsync: true, SyncDelay: clusterSyncFloor},
+		drive: driveLifecycle, healthy: lifecycleHealthy},
+}
+
+// Health checks: a leg that errored, or measured nothing, fails the run.
+func lifecycleHealthy(sc benchScenario) bool   { return sc.Errors == 0 && sc.Completed > 0 }
+func sessionlessHealthy(sc benchScenario) bool { return sc.Errors == 0 && sc.Requests > 0 }
+func decisionHealthy(sc benchScenario) bool    { return sc.Errors == 0 && sc.SessionsToDecision > 0 }
+
+// benchGate is one row of the gate table.
+type benchGate struct {
+	name string
+	// value reads the gated number from the run's report and, for the
+	// baseline rows, the -bench-compare report; ok=false means the run
+	// did not measure it (twins off, no baseline) and skips the gate.
+	value   func(cur, base *benchReport) (v float64, ok bool)
+	ceiling bool // the value must stay ≤ limit; otherwise ≥ limit
+	limit   func(set benchSettings) float64
+}
+
+// benchGates is the gate table: the fixed gates, then one baseline
+// gate per baseline row of benchRows.
+var benchGates = append([]benchGate{
+	{"mem latency skew", latencySkew("mem"), true, fixed(maxLatencySkew)},
+	{"video-heavy latency skew", latencySkew("video-heavy"), true, fixed(maxLatencySkew)},
+	{"video-heavy req/s", field("video-heavy", func(sc *benchScenario) (float64, bool) { return sc.RequestsPerS, true }),
+		false, fixed(videoReqFloor)},
+	{"video-heavy video p99 ms", field("video-heavy", func(sc *benchScenario) (float64, bool) { return sc.VideoP99Ms, true }),
+		true, fixed(videoP99BudgetMs)},
+	{"binary_batch_speedup", headline(func(r *benchReport) float64 { return r.BinaryBatchSpeedup }),
+		false, fixed(binaryBatchFloor)},
+	{"sessions_to_decision_speedup", headline(func(r *benchReport) float64 { return r.SessionsToDecisionSpeedup }),
+		false, fixed(adaptiveDecisionFloor)},
+	{"cluster_session_speedup", headline(func(r *benchReport) float64 { return r.ClusterSessionSpeedup }),
+		false, fixed(clusterSessionFloor)},
+	// The overhead gates read mem only: instrumentation cost is a pure
+	// CPU effect, proportionally largest and least noisy there. The
+	// disk-backed scenarios swing ±20% with device noise, which would
+	// drown a 5% gate; their overheads are reported, not gated.
+	{"mem telemetry overhead %", field("mem", func(sc *benchScenario) (float64, bool) {
+		return sc.TelemetryOverheadPct, sc.UninstrumentedRequestsPerS > 0
+	}), true, overheadLimit},
+	{"mem tracing overhead %", field("mem", func(sc *benchScenario) (float64, bool) {
+		return sc.TracingOverheadPct, sc.TracedRequestsPerS > 0
+	}), true, overheadLimit},
+	{"fsync-group-window stage coverage %", field("fsync-group-window", func(sc *benchScenario) (float64, bool) {
+		return sc.StageSumP99Ms / sc.TraceTotalP99Ms * 100, sc.TraceTotalP99Ms > 0
+	}), false, fixed(stageCoverageFloorPct)},
+}, baselineGates()...)
+
+// baselineGates gates each baseline row's throughput against the
+// -bench-compare report: the row passes if EITHER its absolute req/s
+// OR its req/s relative to the same run's mem ceiling holds within
+// -bench-tolerance. A genuine storage regression (a window
+// accidentally serialized, an ack held under a lock) tanks both;
+// machine or device noise rarely tanks both in one run, and the
+// mem-relative ratio keeps the gate meaningful on a host whose absolute
+// speed differs from the baseline machine's.
+func baselineGates() []benchGate {
+	var gates []benchGate
+	for _, row := range benchRows {
+		if !row.baseline {
+			continue
+		}
+		name := row.name
+		gates = append(gates, benchGate{"baseline " + name + " req/s", func(cur, base *benchReport) (float64, bool) {
+			if base == nil {
+				return 0, false
+			}
+			sc, b := cur.scenario(name), base.scenario(name)
+			if sc == nil || b == nil || b.RequestsPerS <= 0 {
+				return 0, false
+			}
+			v := sc.RequestsPerS / b.RequestsPerS
+			if curMem, baseMem := cur.scenario("mem"), base.scenario("mem"); curMem != nil && baseMem != nil &&
+				curMem.RequestsPerS > 0 && baseMem.RequestsPerS > 0 {
+				v = math.Max(v, sc.RequestsPerS/curMem.RequestsPerS/(b.RequestsPerS/baseMem.RequestsPerS))
+			}
+			return v, true
+		}, false, func(set benchSettings) float64 { return 1 - set.tolerance }})
+	}
+	return gates
+}
+
+func fixed(v float64) func(benchSettings) float64 { return func(benchSettings) float64 { return v } }
+
+func overheadLimit(set benchSettings) float64 { return set.overheadTol * 100 }
+
+// field reads a gate value from one named scenario.
+func field(name string, f func(sc *benchScenario) (float64, bool)) func(cur, base *benchReport) (float64, bool) {
+	return func(cur, _ *benchReport) (float64, bool) {
+		if sc := cur.scenario(name); sc != nil {
+			return f(sc)
+		}
+		return 0, false
+	}
+}
+
+// headline reads one of the report's speedup ratios, zero when its
+// denominator scenario measured nothing.
+func headline(f func(r *benchReport) float64) func(cur, base *benchReport) (float64, bool) {
+	return func(cur, _ *benchReport) (float64, bool) { return f(cur), f(cur) > 0 }
+}
+
+// latencySkew is the scenario's worst endpoint p99/p50 over endpoints
+// with enough requests for a meaningful p99.
+func latencySkew(name string) func(cur, base *benchReport) (float64, bool) {
+	return field(name, func(sc *benchScenario) (float64, bool) {
+		worst := 0.0
+		for _, ep := range sc.Endpoints {
+			if ep.P50Ms > 0 && ep.Requests >= 100 {
+				worst = math.Max(worst, ep.P99Ms/ep.P50Ms)
+			}
+		}
+		return worst, true
+	})
+}
+
+// failedGates evaluates the gate table against a finished report,
+// logging every verdict, and returns the names of the gates that failed.
+func failedGates(cur, base *benchReport, set benchSettings) []string {
+	var failed []string
+	for _, g := range benchGates {
+		v, ok := g.value(cur, base)
+		if !ok {
+			logf("bench gate %-38s not measured, skipped", g.name)
+			continue
+		}
+		limit := g.limit(set)
+		pass, rel := v >= limit, ">="
+		if g.ceiling {
+			pass, rel = v <= limit, "<="
+		}
+		verdict := "ok"
+		if !pass {
+			verdict = "REGRESSION"
+			failed = append(failed, g.name)
+		}
+		logf("bench gate %-38s %12.3f (want %s %g) %s", g.name, v, rel, limit, verdict)
+	}
+	return failed
+}
 
 // benchWarmup sizes the unrecorded ramp that precedes every measured
 // window: a fifth of the duration, clamped to [200ms, 1s] — long
 // enough to absorb server cold start and first-touch costs, short
 // enough to keep the matrix cheap.
 func benchWarmup(d time.Duration) time.Duration {
-	w := d / 5
-	if w < 200*time.Millisecond {
-		w = 200 * time.Millisecond
-	}
-	if w > time.Second {
-		w = time.Second
-	}
-	return w
+	return min(max(d/5, 200*time.Millisecond), time.Second)
 }
 
 // cpuConcurrency caps the driver's worker count for pure-CPU scenarios
-// (mem, video-heavy) at a small multiple of GOMAXPROCS. With direct
-// dispatch a worker IS the server goroutine, so extra workers beyond
-// what the cores can run add zero server load — they only lengthen the
-// scheduler's run queue in front of the latency clock. On one core, 32
-// compute-bound workers mean a goroutine that parks mid-request (GC
-// mark assist, preemption) rejoins behind 31 full timeslices: a ~300ms
-// artifact the old baseline recorded as a 243ms join p99. The fsync
-// scenarios keep the requested concurrency: their workers park on
-// journal I/O (a short run queue regardless), and group-commit
-// batching only exists when many acks are genuinely in flight.
+// (every row that does not persist) at a small multiple of GOMAXPROCS.
+// With direct dispatch a worker IS the server goroutine, so extra
+// workers beyond what the cores can run add zero server load — they
+// only lengthen the scheduler's run queue in front of the latency
+// clock. On one core, 32 compute-bound workers mean a goroutine that
+// parks mid-request (GC mark assist, preemption) rejoins behind 31 full
+// timeslices: a ~300ms artifact the old baseline recorded as a 243ms
+// join p99. The fsync scenarios keep the requested concurrency: their
+// workers park on journal I/O (a short run queue regardless), and
+// group-commit batching only exists when many acks are genuinely in
+// flight.
 func cpuConcurrency(requested int) int {
-	cap := 4 * runtime.GOMAXPROCS(0)
-	if requested < cap {
-		return requested
-	}
-	return cap
+	return min(requested, 4*runtime.GOMAXPROCS(0))
 }
 
-// runBench executes the matrix and reports success: no scenario may
-// error out or complete zero sessions, and with a baseline no scenario
-// may regress its throughput beyond the tolerance.
+// runBench runs the scenario table, writes the report, then runs the
+// gate table, and reports whether every leg was healthy and every gate
+// passed.
 func runBench(set benchSettings) bool {
-	modes := []struct {
-		name    string
-		persist bool
-		opts    platform.Options
-	}{
-		{"mem", false, platform.Options{}},
-		{"wal", true, platform.Options{}},
-		{"fsync-record", true, platform.Options{Fsync: true}},
-		{"fsync-group", true, platform.Options{Fsync: true, GroupCommit: true}},
-		// The windowed variant trades a bounded ack delay for far fewer
-		// fsyncs; it is the durable configuration for ingest-heavy crowds
-		// whose arrival rate alone does not fill opportunistic batches.
-		{"fsync-group-window", true, platform.Options{Fsync: true, GroupCommit: true,
-			GroupMaxDelay: 2 * time.Millisecond, GroupMaxBatch: 64}},
-	}
-	trials := set.trials
-	if trials <= 0 {
-		trials = 1
-	}
 	rep := benchReport{
 		Kind:        set.kind,
 		Concurrency: set.concurrency,
 		Videos:      len(set.payloads),
 		Seed:        set.seed,
-		Trials:      trials,
+		Trials:      max(set.trials, 1),
 		DurationS:   set.duration.Seconds(),
 	}
-	// The tracing twin runs on two scenarios only: mem, where the pure-
-	// CPU stamping cost is proportionally largest and gateable, and the
-	// windowed group-commit scenario — the durable ingest configuration
-	// — where the retained traces feed the per-stage latency breakdown.
-	// The mem twin runs the production tracing configuration (1%
-	// retention: the always-on cost is checkpoint stamping, which the
-	// sample rate does not amortize); the durable twin retains every
-	// request so the stage breakdown sees a dense capture.
-	traceTwin := map[string]float64{"mem": 0.01, "fsync-group-window": 1}
 	ok := true
-	memOverhead := math.NaN()
-	memTraceOverhead := math.NaN()
-	for _, m := range modes {
-		// Throughput on a shared host swings tens of percent run to run
-		// (page cache, device, CPU frequency); each scenario therefore
-		// runs -bench-trials times and reports its median-throughput
-		// trial, so neither the committed baseline nor a CI run gates on
-		// a lucky or unlucky sample. The telemetry-off and tracing-on
-		// twins of each trial run back to back with it, so slow host
-		// drift lands on both sides of the overhead deltas instead of
-		// inside them. mem is the scenario both overhead gates read, and
-		// a median over 3 paired ratios is still one unlucky GC cycle
-		// from a phantom failure — so the gated scenario gets two extra
-		// trials whenever the gate is armed.
-		scTrials := trials
-		if m.name == "mem" && set.overheadTol >= 0 {
-			scTrials = trials + 2
+	for i := 0; i < len(benchRows); i++ {
+		group := benchRows[i : i+1]
+		if benchRows[i].pairNext {
+			group = benchRows[i : i+2]
+			i++
 		}
-		instRuns := make([]benchScenario, 0, scTrials)
-		plainRuns := make([]benchScenario, 0, scTrials)
-		tracedRuns := make([]benchScenario, 0, scTrials)
-		for trial := 0; trial < scTrials; trial++ {
-			instRuns = append(instRuns, mustScenario(m.name, m.persist, m.opts, set, true, 0, &ok))
-			if set.overheadTol >= 0 {
-				plainRuns = append(plainRuns, mustScenario(m.name, m.persist, m.opts, set, false, 0, &ok))
-				if traceTwin[m.name] > 0 {
-					tracedRuns = append(tracedRuns, mustScenario(m.name, m.persist, m.opts, set, true, traceTwin[m.name], &ok))
-				}
-			}
+		rep.Scenarios = append(rep.Scenarios, runRows(group, set, &ok)...)
+	}
+	ratio := func(num, den string, f func(sc *benchScenario) float64) float64 {
+		n, d := rep.scenario(num), rep.scenario(den)
+		if n == nil || d == nil || f(d) <= 0 {
+			return 0
 		}
-		sc := medianThroughput(instRuns)
-		if len(plainRuns) > 0 {
-			if plain := medianThroughput(plainRuns); plain.RequestsPerS > 0 {
-				sc.UninstrumentedRequestsPerS = plain.RequestsPerS
-				sc.TelemetryOverheadPct = pairedOverheadPct(plainRuns, instRuns)
-				if m.name == "mem" {
-					memOverhead = sc.TelemetryOverheadPct
-				}
-			}
-		}
-		if len(tracedRuns) > 0 {
-			if traced := medianThroughput(tracedRuns); traced.RequestsPerS > 0 {
-				sc.TracedRequestsPerS = traced.RequestsPerS
-				sc.TracingOverheadPct = pairedOverheadPct(instRuns, tracedRuns)
-				sc.StageP99Ms = traced.StageP99Ms
-				sc.StageSumP99Ms = traced.StageSumP99Ms
-				sc.TraceTotalP99Ms = traced.TraceTotalP99Ms
-				if m.name == "mem" {
-					memTraceOverhead = sc.TracingOverheadPct
-				}
-			}
-		}
-		logf("bench %-18s %8.1f req/s  ingest p50=%-9s p99=%-9s server-p99=%-9s  (%d sessions, %d errors, median of %d)",
-			sc.Name, sc.RequestsPerS, fmt.Sprintf("%.2fms", sc.IngestP50Ms),
-			fmt.Sprintf("%.2fms", sc.IngestP99Ms), fmt.Sprintf("%.2fms", sc.ServerIngestP99Ms),
-			sc.Sessions, sc.Errors, scTrials)
-		if m.name == "mem" && !checkLatencySkew(sc) {
-			ok = false
-		}
-		rep.Scenarios = append(rep.Scenarios, sc)
+		return f(n) / f(d)
 	}
-	// The video-heavy scenario gates the content-addressed read path on
-	// two absolutes — the mem-tier throughput floor and the video p99
-	// budget — on top of the baseline comparison every gated scenario
-	// gets. Its telemetry twin lands in the report like the others', but
-	// the 5% overhead gate stays on the ingest mem scenario only.
-	videoRuns := make([]benchScenario, 0, trials)
-	videoPlain := make([]benchScenario, 0, trials)
-	for trial := 0; trial < trials; trial++ {
-		videoRuns = append(videoRuns, mustVideoScenario(set, true, &ok))
-		if set.overheadTol >= 0 {
-			videoPlain = append(videoPlain, mustVideoScenario(set, false, &ok))
-		}
-	}
-	vsc := medianThroughput(videoRuns)
-	if len(videoPlain) > 0 {
-		if plain := medianThroughput(videoPlain); plain.RequestsPerS > 0 {
-			vsc.UninstrumentedRequestsPerS = plain.RequestsPerS
-			vsc.TelemetryOverheadPct = pairedOverheadPct(videoPlain, videoRuns)
-		}
-	}
-	logf("bench %-18s %8.1f req/s  video  p50=%-9s p99=%-9s  (%d requests, %d errors, median of %d)",
-		vsc.Name, vsc.RequestsPerS, fmt.Sprintf("%.3fms", vsc.VideoP50Ms),
-		fmt.Sprintf("%.3fms", vsc.VideoP99Ms), vsc.Requests, vsc.Errors, trials)
-	if vsc.RequestsPerS < videoReqFloor {
-		logf("bench REGRESSION video-heavy: %.0f req/s under the %d req/s mem-tier floor", vsc.RequestsPerS, videoReqFloor)
-		ok = false
-	}
-	if vsc.VideoP99Ms > videoP99BudgetMs {
-		logf("bench REGRESSION video-heavy: video p99 %.3fms over the %.3fms budget", vsc.VideoP99Ms, videoP99BudgetMs)
-		ok = false
-	}
-	if !checkLatencySkew(vsc) {
-		ok = false
-	}
-	rep.Scenarios = append(rep.Scenarios, vsc)
-	// The ingest-path pair prices the wire protocol: the same 64-record
-	// flush driven as per-record JSON and as one binary batch, compared
-	// in records/s. Trials pair back to back like the overhead twins so
-	// host drift cancels out of the speedup; the two modes share a
-	// RequestsPerS-sorted median, which within a mode orders identically
-	// to records/s.
-	jsonRuns := make([]benchScenario, 0, trials)
-	binRuns := make([]benchScenario, 0, trials)
-	for trial := 0; trial < trials; trial++ {
-		jsonRuns = append(jsonRuns, mustIngestScenario(set, false, &ok))
-		binRuns = append(binRuns, mustIngestScenario(set, true, &ok))
-	}
-	jsc := medianThroughput(jsonRuns)
-	bsc := medianThroughput(binRuns)
-	logf("bench %-18s %8.1f rec/s  ingest p50=%-9s p99=%-9s  (%d requests, %d errors, median of %d)",
-		jsc.Name, jsc.RecordsPerS, fmt.Sprintf("%.3fms", jsc.IngestP50Ms),
-		fmt.Sprintf("%.3fms", jsc.IngestP99Ms), jsc.Requests, jsc.Errors, trials)
-	logf("bench %-18s %8.1f rec/s  ingest p50=%-9s p99=%-9s  (%d requests, %d errors, median of %d)",
-		bsc.Name, bsc.RecordsPerS, fmt.Sprintf("%.3fms", bsc.IngestP50Ms),
-		fmt.Sprintf("%.3fms", bsc.IngestP99Ms), bsc.Requests, bsc.Errors, trials)
-	if jsc.RecordsPerS > 0 {
-		rep.BinaryBatchSpeedup = bsc.RecordsPerS / jsc.RecordsPerS
-		logf("binary batch ingest: %.0f rec/s vs json %.0f rec/s (%.1fx, floor %.1fx)",
-			bsc.RecordsPerS, jsc.RecordsPerS, rep.BinaryBatchSpeedup, float64(binaryBatchFloor))
-		if rep.BinaryBatchSpeedup < binaryBatchFloor {
-			logf("bench REGRESSION binary-batch: %.2fx over json-events is under the %.1fx floor",
-				rep.BinaryBatchSpeedup, float64(binaryBatchFloor))
-			ok = false
-		}
-	}
-	rep.Scenarios = append(rep.Scenarios, jsc, bsc)
-	// The decision pair prices adaptive stopping in sessions, not
-	// req/s: the same deterministic high-agreement crowd (timeline
-	// answers at 3000ms ± 100ms) drives a fixed-budget campaign and an
-	// adaptive one that closes itself, and the report gates on how many
-	// sessions the verdict cost. One trial each — the drive is
-	// single-threaded and seeded, so reruns are bit-identical.
-	fixedSc := mustDecisionScenario(set, false, &ok)
-	adaptSc := mustDecisionScenario(set, true, &ok)
-	logf("bench %-18s decision in %d sessions", fixedSc.Name, fixedSc.SessionsToDecision)
-	logf("bench %-18s decision in %d sessions", adaptSc.Name, adaptSc.SessionsToDecision)
-	if adaptSc.SessionsToDecision > 0 {
-		rep.SessionsToDecisionSpeedup = float64(fixedSc.SessionsToDecision) / float64(adaptSc.SessionsToDecision)
-		logf("adaptive stopping: %d sessions to decision vs fixed %d (%.1fx, floor %.1fx)",
-			adaptSc.SessionsToDecision, fixedSc.SessionsToDecision,
-			rep.SessionsToDecisionSpeedup, float64(adaptiveDecisionFloor))
-		if rep.SessionsToDecisionSpeedup < adaptiveDecisionFloor {
-			logf("bench REGRESSION adaptive-campaign: %.2fx sessions-to-decision saving is under the %.1fx floor",
-				rep.SessionsToDecisionSpeedup, float64(adaptiveDecisionFloor))
-			ok = false
-		}
-	}
-	rep.Scenarios = append(rep.Scenarios, fixedSc, adaptSc)
-	// The scale-out pair prices campaign partitioning: the identical
-	// persona crowd against one fsync-record node and against a 3-node
-	// fsync-record cluster behind the proxying router, spread over
-	// enough campaigns that every node owns live traffic. Trials pair
-	// back to back so device drift cancels out of the speedup; each
-	// leg's median lands in the report like every other scenario. The
-	// cluster leg runs first per trial because its campaign count is
-	// placement-driven (seed until every node owns one), and the single
-	// leg then seeds the same count so both legs split the workers over
-	// identical campaign sets.
-	singleRuns := make([]benchScenario, 0, trials)
-	clusterRuns := make([]benchScenario, 0, trials)
-	for trial := 0; trial < trials; trial++ {
-		csc, nCampaigns := mustClusterScenario(set, clusterNodes, 0, &ok)
-		clusterRuns = append(clusterRuns, csc)
-		ssc, _ := mustClusterScenario(set, 1, nCampaigns, &ok)
-		singleRuns = append(singleRuns, ssc)
-	}
-	ssc := medianThroughput(singleRuns)
-	csc := medianThroughput(clusterRuns)
-	logf("bench %-18s %8.1f req/s  %7.1f sessions/s  ingest p99=%-9s  (%d sessions, %d errors, median of %d)",
-		ssc.Name, ssc.RequestsPerS, ssc.SessionsPerS, fmt.Sprintf("%.2fms", ssc.IngestP99Ms), ssc.Sessions, ssc.Errors, trials)
-	logf("bench %-18s %8.1f req/s  %7.1f sessions/s  ingest p99=%-9s  (%d sessions, %d errors, median of %d)",
-		csc.Name, csc.RequestsPerS, csc.SessionsPerS, fmt.Sprintf("%.2fms", csc.IngestP99Ms), csc.Sessions, csc.Errors, trials)
-	if ssc.SessionsPerS > 0 {
-		rep.ClusterSessionSpeedup = csc.SessionsPerS / ssc.SessionsPerS
-		logf("cluster scale-out: %.1f sessions/s on %d nodes vs %.1f on one (%.1fx, floor %.1fx)",
-			csc.SessionsPerS, clusterNodes, ssc.SessionsPerS,
-			rep.ClusterSessionSpeedup, float64(clusterSessionFloor))
-		if rep.ClusterSessionSpeedup < clusterSessionFloor {
-			logf("bench REGRESSION cluster-3node: %.2fx over single-node is under the %.1fx floor",
-				rep.ClusterSessionSpeedup, float64(clusterSessionFloor))
-			ok = false
-		}
-	}
-	rep.Scenarios = append(rep.Scenarios, ssc, csc)
-	// The overhead gate reads only the mem scenario: telemetry cost is a
-	// pure CPU effect, and mem is where it is proportionally largest and
-	// the run-to-run variance smallest — the disk-backed scenarios swing
-	// ±20% with device noise (see the committed baseline's per-scenario
-	// telemetry_overhead_pct), which would drown a 5% gate in false
-	// signal either way. The other scenarios' overheads still land in
-	// the report for inspection.
-	if set.overheadTol >= 0 && !math.IsNaN(memOverhead) {
-		if memOverhead > set.overheadTol*100 {
-			logf("bench REGRESSION: telemetry costs %.1f%% of mem throughput (tolerance %.0f%%)",
-				memOverhead, set.overheadTol*100)
-			ok = false
-		} else {
-			logf("bench telemetry overhead: %.1f%% on mem (tolerance %.0f%%; disk scenarios informational)",
-				memOverhead, set.overheadTol*100)
-		}
-	}
-	// The tracing twin reuses the same tolerance: stage stamping runs on
-	// every request while tracing is on, so like telemetry it must stay
-	// effectively free where it is proportionally most visible (mem).
-	if set.overheadTol >= 0 && !math.IsNaN(memTraceOverhead) {
-		if memTraceOverhead > set.overheadTol*100 {
-			logf("bench REGRESSION: tracing costs %.1f%% of mem throughput (tolerance %.0f%%)",
-				memTraceOverhead, set.overheadTol*100)
-			ok = false
-		} else {
-			logf("bench tracing overhead: %.1f%% on mem (tolerance %.0f%%)",
-				memTraceOverhead, set.overheadTol*100)
-		}
-	}
-	// Stage-attribution audit on the durable scenario's tracing twin:
-	// print the per-stage p99 breakdown and require the per-stage sum to
-	// account for ≥90% of the trace-level e2e ingest p99 — the proof
-	// that the checkpoint stages tile the latency they claim to explain.
-	if durable := rep.scenario("fsync-group-window"); durable != nil && durable.TraceTotalP99Ms > 0 {
-		logf("bench %s ingest stage breakdown (p99 per stage, traced twin):", durable.Name)
-		for i := 0; i < trace.NumStages; i++ {
-			if ms, present := durable.StageP99Ms[trace.Stage(i).String()]; present {
-				logf("  %-10s %9.3fms", trace.Stage(i).String(), ms)
-			}
-		}
-		coverage := durable.StageSumP99Ms / durable.TraceTotalP99Ms * 100
-		logf("  stage p99 sum %.3fms vs e2e ingest p99 %.3fms (%.0f%% accounted)",
-			durable.StageSumP99Ms, durable.TraceTotalP99Ms, coverage)
-		if coverage < 90 {
-			logf("bench REGRESSION: stage breakdown accounts for only %.0f%% of the durable ingest p99 (floor 90%%)", coverage)
-			ok = false
-		}
-	}
-	if record := rep.scenario("fsync-record"); record != nil {
-		for _, name := range []string{"fsync-group", "fsync-group-window"} {
-			group := rep.scenario(name)
-			if group == nil || group.IngestP99Ms <= 0 {
-				continue
-			}
-			speedup := record.IngestP99Ms / group.IngestP99Ms
-			logf("fsync ingest p99: per-record %.2fms vs %s %.2fms (%.1fx)",
-				record.IngestP99Ms, name, group.IngestP99Ms, speedup)
-			if speedup > rep.FsyncIngestP99Speedup {
-				rep.FsyncIngestP99Speedup = speedup
-			}
-		}
-	}
+	ingestP99 := func(sc *benchScenario) float64 { return sc.IngestP99Ms }
+	rep.FsyncIngestP99Speedup = math.Max(ratio("fsync-record", "fsync-group", ingestP99),
+		ratio("fsync-record", "fsync-group-window", ingestP99))
+	rep.BinaryBatchSpeedup = ratio("binary-batch", "json-events", func(sc *benchScenario) float64 { return sc.RecordsPerS })
+	rep.SessionsToDecisionSpeedup = ratio("fixed-campaign", "adaptive-campaign",
+		func(sc *benchScenario) float64 { return float64(sc.SessionsToDecision) })
+	rep.ClusterSessionSpeedup = ratio("cluster-3node", "single-node", func(sc *benchScenario) float64 { return sc.SessionsPerS })
+
 	buf, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		fatalf("bench report: %v", err)
@@ -607,60 +535,229 @@ func runBench(set benchSettings) bool {
 		fatalf("bench report: %v", err)
 	}
 	logf("bench report written to %s", set.out)
-	if set.baseline != "" && !compareBaseline(set.baseline, &rep, set.tolerance) {
-		ok = false
+	var base *benchReport
+	if set.baseline != "" {
+		if base, err = loadReport(set.baseline); err != nil {
+			logf("bench baseline: %v", err)
+			ok = false
+		}
 	}
-	return ok
+	return len(failedGates(&rep, base, set)) == 0 && ok
 }
 
-// mustDecisionScenario runs one leg of the decision pair, clearing *ok
-// when it errored or reached no decision.
-func mustDecisionScenario(set benchSettings, adaptive bool, ok *bool) benchScenario {
-	sc, err := runDecisionScenario(set, adaptive)
-	if err != nil {
-		fatalf("bench %s: %v", sc.Name, err)
+// runRows runs one row, or a pair trial-interleaved, for the row's
+// trial count and returns each row's median-throughput trial with its
+// twins folded in. Throughput on a shared host swings tens of percent
+// run to run (page cache, device, CPU frequency), so neither the
+// committed baseline nor a CI run gates on a lucky or unlucky sample.
+func runRows(group []benchRow, set benchSettings, ok *bool) []benchScenario {
+	twins := set.overheadTol >= 0
+	trials := max(set.trials, 1)
+	if group[0].trials > 0 {
+		trials = group[0].trials
 	}
-	if sc.Errors > 0 || sc.SessionsToDecision == 0 {
-		logf("bench %s FAILED: %d errors, %d sessions to decision", sc.Name, sc.Errors, sc.SessionsToDecision)
+	if twins {
+		trials += group[0].twinTrials
+	}
+	order := []int{0, 1}[:len(group)]
+	if len(group) == 2 && group[0].nodes == 1 {
+		order = []int{1, 0}
+	}
+	inst := make([][]benchScenario, len(group))
+	plain := make([][]benchScenario, len(group))
+	traced := make([][]benchScenario, len(group))
+	for trial := 0; trial < trials; trial++ {
+		campaigns := 0
+		for _, k := range order {
+			row := &group[k]
+			inst[k] = append(inst[k], mustLeg(row, set, true, 0, &campaigns, ok))
+			if twins && row.plainTwin {
+				plain[k] = append(plain[k], mustLeg(row, set, false, 0, &campaigns, ok))
+			}
+			if twins && row.traceTwin > 0 {
+				traced[k] = append(traced[k], mustLeg(row, set, true, row.traceTwin, &campaigns, ok))
+			}
+		}
+	}
+	out := make([]benchScenario, len(group))
+	for k := range group {
+		sc := medianThroughput(inst[k])
+		if len(plain[k]) > 0 {
+			if p := medianThroughput(plain[k]); p.RequestsPerS > 0 {
+				sc.UninstrumentedRequestsPerS = p.RequestsPerS
+				sc.TelemetryOverheadPct = pairedOverheadPct(plain[k], inst[k])
+			}
+		}
+		if len(traced[k]) > 0 {
+			if t := medianThroughput(traced[k]); t.RequestsPerS > 0 {
+				sc.TracedRequestsPerS = t.RequestsPerS
+				sc.TracingOverheadPct = pairedOverheadPct(inst[k], traced[k])
+				sc.StageP99Ms, sc.StageSumP99Ms, sc.TraceTotalP99Ms = t.StageP99Ms, t.StageSumP99Ms, t.TraceTotalP99Ms
+			}
+		}
+		logf("bench %-18s %10.1f req/s %8.1f sessions/s  ingest p50=%.3fms p99=%.3fms server-p99=%.3fms  (%d sessions, %d requests, %d errors, median of %d)",
+			sc.Name, sc.RequestsPerS, sc.SessionsPerS, sc.IngestP50Ms, sc.IngestP99Ms, sc.ServerIngestP99Ms,
+			sc.Sessions, sc.Requests, sc.Errors, trials)
+		out[k] = sc
+	}
+	return out
+}
+
+// mustLeg runs one leg, exiting on a setup or drive error and clearing
+// *ok when the leg is unhealthy. *campaigns carries the seeded campaign
+// count from leg to leg within a trial.
+func mustLeg(row *benchRow, set benchSettings, instrumented bool, traceSample float64, campaigns *int, ok *bool) benchScenario {
+	sc, err := runLeg(row, set, instrumented, traceSample, campaigns)
+	if err != nil {
+		fatalf("bench %s: %v", row.name, err)
+	}
+	if !row.healthy(sc) {
+		logf("bench %s FAILED: %d errors, %d completed, %d requests, %d sessions to decision",
+			sc.Name, sc.Errors, sc.Completed, sc.Requests, sc.SessionsToDecision)
 		*ok = false
 	}
 	return sc
 }
 
-// runDecisionScenario drives one leg of the fixed-vs-adaptive pair: a
+// benchLeg is one run of one row against its own fresh target.
+type benchLeg struct {
+	row          *benchRow
+	set          benchSettings
+	instrumented bool
+	traceSample  float64
+	h            http.Handler     // the entry handler: the server's, or the cluster router's
+	client       *http.Client     // direct dispatch into h
+	srv          *platform.Server // nil for a cluster
+	covered      func() bool      // the cluster's placement goal; nil for one server
+	campaigns    int              // campaigns seeded (read first by the one-node scale-out leg)
+}
+
+// runLeg boots the row's target, drives it, and tears it down — and
+// its journal directory — on every path.
+func runLeg(row *benchRow, set benchSettings, instrumented bool, traceSample float64, campaigns *int) (sc benchScenario, err error) {
+	opts := row.opts
+	opts.Shards = set.shards
+	opts.DisableTelemetry = !instrumented
+	opts.AdaptiveSeed = set.seed
+	// A deep trace ring so the end-of-run breakdown sees a real sample
+	// of steady-state traces, not just the final few hundred requests.
+	opts.TraceSample, opts.TraceSeed, opts.TraceBuffer = traceSample, uint64(set.seed), 8192
+	// Auto-snapshots are off: a full-state snapshot is a multi-megabyte
+	// fsync burst that stalls the device for every scenario alike, and
+	// what is under measurement is the append pipeline, not the
+	// snapshot cadence.
+	opts.SnapshotEvery = -1
+	if row.persist {
+		if set.dataDir != "" {
+			if err = os.MkdirAll(set.dataDir, 0o755); err != nil {
+				return sc, err
+			}
+		}
+		if opts.DataDir, err = os.MkdirTemp(set.dataDir, "eyeorg-bench-*"); err != nil {
+			return sc, err
+		}
+		defer os.RemoveAll(opts.DataDir)
+	}
+	l := &benchLeg{row: row, set: set, instrumented: instrumented, traceSample: traceSample, campaigns: *campaigns}
+	var closer func() error
+	if row.nodes > 1 {
+		members := clusterMembers[:row.nodes]
+		var cl *cluster.Cluster
+		if cl, err = cluster.New(cluster.Config{Nodes: members, Dir: opts.DataDir, Fsync: opts.Fsync,
+			SyncDelay: opts.SyncDelay, SnapshotEvery: -1}); err != nil {
+			return sc, err
+		}
+		l.h, l.covered, closer = cl.Handler(), clusterCoverage(cl, members), cl.Close
+	} else {
+		if l.srv, err = platform.Open(opts); err != nil {
+			return sc, err
+		}
+		l.h, closer = l.srv.Handler(), l.srv.Close
+	}
+	defer func() {
+		if cerr := closer(); cerr != nil && err == nil {
+			err = fmt.Errorf("close: %w", cerr)
+		}
+	}()
+	l.client = &http.Client{Transport: directTransport{h: l.h}}
+	sc, err = row.drive(l)
+	*campaigns = l.campaigns
+	return sc, err
+}
+
+// driveLifecycle drives the persona lifecycle for the configured
+// duration. The matrix rows seed one campaign; the scale-out legs seed
+// until every cluster node owns one (or, on one node, the count the
+// cluster leg needed), so both legs split the workers over identical
+// campaign sets. The matrix rows also fold the server's /metrics ingest
+// p99 into the report, and a tracing leg reads its per-stage breakdown
+// back from /debug/traces before the server closes.
+func driveLifecycle(l *benchLeg) (benchScenario, error) {
+	n := l.campaigns
+	if n <= 0 {
+		n = max(1, l.row.nodes)
+	}
+	campaigns, videoIDs, payloads, err := seedCampaignSet(l.client, benchTarget, l.set.kind, l.set.payloads, n, l.covered, clusterSeedCap)
+	if err != nil {
+		return benchScenario{}, fmt.Errorf("campaigns: %w", err)
+	}
+	l.campaigns = len(campaigns)
+	conc := l.set.concurrency
+	if !l.row.persist {
+		conc = cpuConcurrency(conc)
+	}
+	agg, elapsed := runLoad(loadConfig{
+		client:      l.client,
+		target:      benchTarget,
+		campaigns:   campaigns,
+		kind:        l.set.kind,
+		concurrency: conc,
+		duration:    l.set.duration,
+		maxSessions: int64(l.set.sessions),
+		seed:        l.set.seed,
+		warmup:      benchWarmup(l.set.duration),
+		videoIDs:    videoIDs,
+		payloads:    payloads,
+	})
+	sc := scenarioMetrics(l.row, agg, elapsed)
+	sc.Concurrency = conc
+	if l.instrumented && l.row.nodes == 0 {
+		if p99, err := scrapeIngestP99(l.client, benchTarget); err != nil {
+			logf("bench %s: metrics scrape: %v", l.row.name, err)
+		} else {
+			sc.ServerIngestP99Ms = roundMs(p99)
+		}
+	}
+	if l.traceSample > 0 {
+		// The trace surface lives on the operational DebugHandler, not
+		// the API handler the load ran through.
+		dbg := &http.Client{Transport: directTransport{h: l.srv.DebugHandler()}}
+		if sc.StageP99Ms, sc.StageSumP99Ms, sc.TraceTotalP99Ms, err = traceBreakdown(dbg, benchTarget); err != nil {
+			logf("bench %s: trace scrape: %v", l.row.name, err)
+		}
+	}
+	return sc, nil
+}
+
+// driveDecision drives one leg of the fixed-vs-adaptive pair: a
 // deterministic single-threaded crowd answering every timeline test at
 // 3000ms ± 100ms (high agreement — the case adaptive stopping exists
 // for). The fixed leg spends the full paper-sized session budget; the
 // adaptive leg joins until the server refuses with 409 because every
 // per-video interval resolved to decisionHalfWidthS.
-func runDecisionScenario(set benchSettings, adaptiveMode bool) (benchScenario, error) {
-	name := "fixed-campaign"
-	opts := platform.Options{Shards: set.shards, SnapshotEvery: -1}
-	if adaptiveMode {
-		name = "adaptive-campaign"
-		opts.Adaptive = true
-		opts.CIHalfWidth = decisionHalfWidthS
-		opts.AdaptiveSeed = set.seed
-	}
-	sc := benchScenario{Name: name, Concurrency: 1}
-	srv, err := platform.Open(opts)
-	if err != nil {
-		return sc, err
-	}
-	defer srv.Close()
-	client := &http.Client{Transport: directTransport{h: srv.Handler()}}
-	target := "http://bench.local"
-	campaign, _, err := seedCampaign(client, target, "timeline", set.payloads)
+func driveDecision(l *benchLeg) (benchScenario, error) {
+	sc := benchScenario{Name: l.row.name, Concurrency: 1}
+	campaign, _, err := seedCampaign(l.client, benchTarget, "timeline", l.set.payloads)
 	if err != nil {
 		return sc, fmt.Errorf("campaign: %w", err)
 	}
 	budget := fixedCampaignSessions
-	if adaptiveMode {
+	if l.row.opts.Adaptive {
 		budget = adaptiveSessionCap
 	}
 	start := time.Now()
 	for sc.Completed < int64(budget) {
-		closed, err := driveDecisionSession(client, target, campaign, int(sc.Completed))
+		closed, err := driveDecisionSession(l.client, benchTarget, campaign, int(sc.Completed))
 		if err != nil {
 			sc.Errors++
 			return sc, err
@@ -732,18 +829,249 @@ func driveDecisionSession(client *http.Client, target, campaign string, n int) (
 	return false, nil
 }
 
-// mustScenario runs one trial, clearing *ok when it errored or
-// completed nothing.
-func mustScenario(name string, persist bool, opts platform.Options, set benchSettings, instrumented bool, traceSample float64, ok *bool) benchScenario {
-	sc, err := runScenario(name, persist, opts, set, instrumented, traceSample)
+// driveVideo hammers the content-addressed video read path alone with
+// a fixed conditional/full/Range mix against the in-memory tier. The
+// 5/3/2 mix mirrors a replayed crowd, where most fetches are
+// browser-cache revalidations (304), some are cold full-body pulls,
+// and a tail resumes with Range.
+func driveVideo(l *benchLeg) (benchScenario, error) {
+	_, ids, err := seedCampaign(l.client, benchTarget, l.set.kind, l.set.payloads)
 	if err != nil {
-		fatalf("bench %s: %v", name, err)
+		return benchScenario{}, fmt.Errorf("campaign: %w", err)
 	}
-	if sc.Errors > 0 || sc.Completed == 0 {
-		logf("bench %s FAILED: %d errors, %d completed", sc.Name, sc.Errors, sc.Completed)
-		*ok = false
+	// One priming GET per video collects the content-hash ETag and the
+	// served size the request mix is built from.
+	etags := make([]string, len(ids))
+	sizes := make([]int64, len(ids))
+	for i, id := range ids {
+		resp, err := l.client.Get(benchTarget + "/api/v1/videos/" + id)
+		if err != nil {
+			return benchScenario{}, err
+		}
+		n, _ := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") == "" || n == 0 {
+			return benchScenario{}, fmt.Errorf("priming video %s: status %d, etag %q, %d bytes",
+				id, resp.StatusCode, resp.Header.Get("ETag"), n)
+		}
+		etags[i], sizes[i] = resp.Header.Get("ETag"), n
 	}
-	return sc
+	sc, agg, err := hammer(l, func(int) ([]shot, error) {
+		// Requests are built once per worker and redispatched: a GET has
+		// no body to rewind, and the mux overwrites its route match on
+		// every ServeHTTP, so reuse is safe on one goroutine.
+		reuse := func(r *http.Request) func() *http.Request { return func() *http.Request { return r } }
+		shots := make([]shot, 0, len(ids)*10)
+		for i, id := range ids {
+			full := httptest.NewRequest("GET", "/api/v1/videos/"+id, nil)
+			cond := httptest.NewRequest("GET", "/api/v1/videos/"+id, nil)
+			cond.Header.Set("If-None-Match", etags[i])
+			half := sizes[i] / 2
+			rng := httptest.NewRequest("GET", "/api/v1/videos/"+id, nil)
+			rng.Header.Set("Range", fmt.Sprintf("bytes=0-%d", half-1))
+			for k := 0; k < 5; k++ {
+				shots = append(shots, shot{"video_cond", reuse(cond), http.StatusNotModified, 0})
+			}
+			for k := 0; k < 3; k++ {
+				shots = append(shots, shot{"video", reuse(full), http.StatusOK, sizes[i]})
+			}
+			for k := 0; k < 2; k++ {
+				shots = append(shots, shot{"video_range", reuse(rng), http.StatusPartialContent, half})
+			}
+		}
+		return shots, nil
+	})
+	if err != nil {
+		return sc, err
+	}
+	var all []time.Duration
+	for _, name := range []string{"video", "video_cond", "video_range"} {
+		all = append(all, agg.byEndpoint[name]...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	sc.VideoP50Ms = fmsF(pct(all, 0.50))
+	sc.VideoP99Ms = fmsF(pct(all, 0.99))
+	return sc, nil
+}
+
+// driveIngest hammers the events endpoint alone: each worker owns one
+// pre-joined, never-completing session and replays a fixed flush of
+// ingestBatchRecords engagement records — as 64 per-record JSON POSTs,
+// or as one EYB1 batch POST. The payload bytes are built once and
+// replayed, so the per-request driver cost is one request over a
+// bytes.Reader on either protocol. The record values vary per record
+// so the binary side exercises real varint/delta encoding widths, not
+// a degenerate all-equal stream.
+func driveIngest(binary bool) func(l *benchLeg) (benchScenario, error) {
+	ct, perRequest := "application/json", 1
+	if binary {
+		ct, perRequest = wire.ContentType, ingestBatchRecords
+	}
+	return func(l *benchLeg) (benchScenario, error) {
+		campaign, _, err := seedCampaign(l.client, benchTarget, l.set.kind, l.set.payloads)
+		if err != nil {
+			return benchScenario{}, fmt.Errorf("campaign: %w", err)
+		}
+		sc, _, err := hammer(l, func(w int) ([]shot, error) {
+			body := fmt.Sprintf(
+				`{"campaign":%q,"worker":{"id":"ingest-w%d","gender":"f","country":"IT","source":"bench"},"captcha":"bench"}`,
+				campaign, w)
+			var jr platform.JoinResponse
+			if status, _, err := doJSON(l.client, "POST", benchTarget+"/api/v1/sessions", []byte(body), &jr); err != nil || status != http.StatusCreated {
+				return nil, fmt.Errorf("join ingest-w%d: status %d, err %v", w, status, err)
+			}
+			var recs []wire.Record
+			var payloads [][]byte
+			for i := 0; i < ingestBatchRecords; i++ {
+				b := platform.EventBatch{
+					VideoID:         jr.Tests[i%len(jr.Tests)].VideoID,
+					LoadMs:          100 + float64(i)*3.7,
+					TimeOnVideoMs:   5_000 + float64(i)*211.3,
+					OutOfFocusMs:    float64(i%7) * 13.1,
+					Plays:           1 + i%2,
+					Pauses:          i % 3,
+					Seeks:           i % 11,
+					WatchedFraction: float64(i%10) / 10,
+				}
+				recs = platform.AppendWireRecords(recs, b)
+				js, err := json.Marshal(b)
+				if err != nil {
+					return nil, err
+				}
+				payloads = append(payloads, js)
+			}
+			if binary {
+				payloads = [][]byte{wire.AppendBatch(nil, recs)}
+			}
+			path := "/api/v1/sessions/" + jr.Session + "/events"
+			shots := make([]shot, len(payloads))
+			for i, p := range payloads {
+				shots[i] = shot{"events", func() *http.Request {
+					req := httptest.NewRequest("POST", path, bytes.NewReader(p))
+					req.Header.Set("Content-Type", ct)
+					return req
+				}, http.StatusAccepted, -1}
+			}
+			return shots, nil
+		})
+		sc.RecordsPerS = sc.RequestsPerS * float64(perRequest)
+		return sc, err
+	}
+}
+
+// shot is one request a hammer worker replays: next yields it (a
+// reused GET, or a fresh POST over a replayed body), and the response
+// must carry status want and, unless bytes is negative, that many body
+// bytes.
+type shot struct {
+	endpoint string
+	next     func() *http.Request
+	want     int
+	bytes    int64
+}
+
+// hammer drives the leg's handler from cpuConcurrency workers, each
+// cycling through the shots built for it, dispatching straight into the
+// handler through a reused nullWriter so the measured cost is the mux,
+// the handler and what sits behind them — not recorder allocation or
+// TCP. Shots are built before the clock starts.
+func hammer(l *benchLeg, build func(w int) ([]shot, error)) (benchScenario, *aggregate, error) {
+	conc := cpuConcurrency(l.set.concurrency)
+	lanes := make([][]shot, conc)
+	for w := range lanes {
+		var err error
+		if lanes[w], err = build(w); err != nil {
+			return benchScenario{}, nil, err
+		}
+	}
+	start := time.Now()
+	recordFrom := start.Add(benchWarmup(l.set.duration))
+	deadline := recordFrom.Add(l.set.duration)
+	var badStatus atomic.Int32
+	stats, err := parallel.Map(conc, conc, func(w int) (*workerStats, error) {
+		st, nw, lane := newWorkerStats(), newNullWriter(), lanes[w]
+		for i := w; ; i++ {
+			now := time.Now()
+			if now.After(deadline) {
+				return st, nil
+			}
+			sh := &lane[i%len(lane)]
+			nw.reset()
+			l.h.ServeHTTP(nw, sh.next())
+			if nw.status != sh.want || (sh.bytes >= 0 && nw.n != sh.bytes) {
+				st.errors++
+				badStatus.CompareAndSwap(0, int32(nw.status))
+				continue
+			}
+			if now.After(recordFrom) {
+				st.lat[sh.endpoint] = append(st.lat[sh.endpoint], time.Since(now))
+			}
+		}
+	})
+	elapsed := time.Since(recordFrom)
+	if err != nil {
+		return benchScenario{}, nil, err
+	}
+	if bs := badStatus.Load(); bs != 0 {
+		logf("bench %s: unexpected responses (first bad status %d)", l.row.name, bs)
+	}
+	agg := merge(stats)
+	sc := scenarioMetrics(l.row, agg, elapsed)
+	sc.Concurrency = conc
+	return sc, agg, nil
+}
+
+// nullWriter is the hammer's ResponseWriter: it records status and
+// byte count and discards the payload, reusing its header map and copy
+// buffer across requests so the driver itself costs nothing measurable
+// per request. ReadFrom matters: without it, ServeContent's io.Copy
+// would allocate a fresh 32KB buffer per Range response and the bench
+// would measure the garbage collector instead of the blob store.
+type nullWriter struct {
+	h      http.Header
+	status int
+	n      int64
+	buf    []byte
+}
+
+func newNullWriter() *nullWriter {
+	return &nullWriter{h: make(http.Header, 8), buf: make([]byte, 32<<10)}
+}
+
+func (w *nullWriter) Header() http.Header { return w.h }
+
+func (w *nullWriter) WriteHeader(code int) { w.status = code }
+
+func (w *nullWriter) Write(p []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+func (w *nullWriter) ReadFrom(src io.Reader) (int64, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	var n int64
+	for {
+		m, err := src.Read(w.buf)
+		n += int64(m)
+		w.n += int64(m)
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+	}
+}
+
+func (w *nullWriter) reset() {
+	w.status = 0
+	w.n = 0
+	clear(w.h)
 }
 
 // medianThroughput returns the median-RequestsPerS run. It sorts a
@@ -765,10 +1093,7 @@ func medianThroughput(runs []benchScenario) benchScenario {
 // the median across trials discards the pairs where it still leaked in.
 // The baseline and twin slices are parallel arrays indexed by trial.
 func pairedOverheadPct(without, with []benchScenario) float64 {
-	n := len(without)
-	if len(with) < n {
-		n = len(with)
-	}
+	n := min(len(without), len(with))
 	deltas := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
 		if without[i].RequestsPerS > 0 {
@@ -780,114 +1105,6 @@ func pairedOverheadPct(without, with []benchScenario) float64 {
 	}
 	sort.Float64s(deltas)
 	return deltas[len(deltas)/2]
-}
-
-// runScenario boots one fresh server in the given durability mode and
-// drives the persona lifecycle against it for the configured duration.
-// With instrumented false the server runs without telemetry — the
-// baseline the overhead gate compares against. With traceSample > 0
-// the server additionally stage-stamps every request and retains that
-// fraction of them, and the run reads the per-stage latency breakdown
-// back from /debug/traces before the server closes.
-func runScenario(name string, persist bool, opts platform.Options, set benchSettings, instrumented bool, traceSample float64) (benchScenario, error) {
-	opts.Shards = set.shards
-	opts.DisableTelemetry = !instrumented
-	if traceSample > 0 {
-		opts.TraceSample = traceSample
-		opts.TraceSeed = uint64(set.seed)
-		// A deep ring so the end-of-run breakdown sees a real sample of
-		// steady-state traces, not just the final few hundred requests.
-		opts.TraceBuffer = 8192
-	}
-	// Auto-snapshots are off for the matrix: a full-state snapshot is
-	// a multi-megabyte fsync burst that stalls the device for every
-	// scenario alike, and what is under measurement is the per-record
-	// vs group-commit append pipeline, not the snapshot cadence.
-	opts.SnapshotEvery = -1
-	if persist {
-		if set.dataDir != "" {
-			if err := os.MkdirAll(set.dataDir, 0o755); err != nil {
-				return benchScenario{}, err
-			}
-		}
-		dir, err := os.MkdirTemp(set.dataDir, "eyeorg-bench-*")
-		if err != nil {
-			return benchScenario{}, err
-		}
-		defer os.RemoveAll(dir)
-		opts.DataDir = dir
-	}
-	srv, err := platform.Open(opts)
-	if err != nil {
-		return benchScenario{}, err
-	}
-	var client *http.Client
-	var target string
-	var ts *httptest.Server
-	if set.http {
-		ts = httptest.NewServer(srv.Handler())
-		client = newHTTPClient(set.concurrency)
-		target = ts.URL
-	} else {
-		client = &http.Client{Transport: directTransport{h: srv.Handler()}}
-		target = "http://bench.local"
-	}
-	campaign, videoIDs, err := seedCampaign(client, target, set.kind, set.payloads)
-	if err != nil {
-		return benchScenario{}, fmt.Errorf("campaign: %w", err)
-	}
-	conc := set.concurrency
-	if !persist {
-		conc = cpuConcurrency(conc)
-	}
-	agg, elapsed := runLoad(loadConfig{
-		client:      client,
-		target:      target,
-		campaigns:   []string{campaign},
-		kind:        set.kind,
-		concurrency: conc,
-		duration:    set.duration,
-		maxSessions: int64(set.sessions),
-		seed:        set.seed,
-		warmup:      benchWarmup(set.duration),
-		videoIDs:    videoIDs,
-		payloads:    set.payloads,
-	})
-	var serverP99 float64
-	if instrumented {
-		// Fold the server's self-reported ingest p99 into the report so
-		// every committed baseline carries the cross-check.
-		p99, err := scrapeIngestP99(client, target)
-		if err != nil {
-			logf("bench %s: metrics scrape: %v", name, err)
-		} else {
-			serverP99 = roundMs(p99)
-		}
-	}
-	var stages map[string]float64
-	var stageSum, traceTotal float64
-	if traceSample > 0 {
-		// The trace surface lives on the operational DebugHandler, not
-		// the API handler the load ran through; scrape it directly.
-		dbg := &http.Client{Transport: directTransport{h: srv.DebugHandler()}}
-		stages, stageSum, traceTotal, err = traceBreakdown(dbg, "http://bench.local")
-		if err != nil {
-			logf("bench %s: trace scrape: %v", name, err)
-		}
-	}
-	if ts != nil {
-		ts.Close()
-	}
-	if err := srv.Close(); err != nil {
-		return benchScenario{}, fmt.Errorf("close: %w", err)
-	}
-	sc := scenarioMetrics(name, persist, opts, agg, elapsed)
-	sc.Concurrency = conc
-	sc.ServerIngestP99Ms = serverP99
-	sc.StageP99Ms = stages
-	sc.StageSumP99Ms = stageSum
-	sc.TraceTotalP99Ms = traceTotal
-	return sc, nil
 }
 
 // traceBreakdown reads the server's retained traces from /debug/traces
@@ -936,452 +1153,6 @@ func traceBreakdown(client *http.Client, target string) (map[string]float64, flo
 	return stages, sum, fmsF(pct(totals, 0.99)), nil
 }
 
-// checkLatencySkew fails an in-memory scenario whose p99 dwarfs its
-// p50: with no device in the path every endpoint is pure CPU, and a
-// 1000x spread means the clock caught something that is not
-// steady-state serving — a cold-start decode, a ramp, a stalled
-// worker — not a serving regression. The guard exists because exactly
-// that happened: the committed baseline once recorded a 243ms join p99
-// against a 0.025ms p50, put there by first-fetch video decodes
-// running inside the measured window.
-func checkLatencySkew(sc benchScenario) bool {
-	ok := true
-	for name, ep := range sc.Endpoints {
-		if ep.P50Ms <= 0 || ep.Requests < 100 {
-			continue
-		}
-		if ep.P99Ms/ep.P50Ms > 1000 {
-			logf("bench SKEW %s/%s: p99 %.3fms is %.0fx its p50 %.3fms — measurement contamination, not load (warmup too short? a worker stalled?)",
-				sc.Name, name, ep.P99Ms, ep.P99Ms/ep.P50Ms, ep.P50Ms)
-			ok = false
-		}
-	}
-	return ok
-}
-
-// mustVideoScenario mirrors mustScenario for the sessionless video
-// scenario: it completes no sessions by design, so the health check is
-// zero errors and a non-empty measured window.
-func mustVideoScenario(set benchSettings, instrumented bool, ok *bool) benchScenario {
-	sc, err := runVideoScenario(set, instrumented)
-	if err != nil {
-		fatalf("bench video-heavy: %v", err)
-	}
-	if sc.Errors > 0 || sc.Requests == 0 {
-		logf("bench video-heavy FAILED: %d errors, %d requests", sc.Errors, sc.Requests)
-		*ok = false
-	}
-	return sc
-}
-
-// nullWriter is the video bench's ResponseWriter: it records status
-// and byte count and discards the payload, reusing its header map and
-// copy buffer across requests so the driver itself costs nothing
-// measurable per request. ReadFrom matters: without it, ServeContent's
-// io.Copy would allocate a fresh 32KB buffer per Range response and
-// the bench would measure the garbage collector instead of the blob
-// store.
-type nullWriter struct {
-	h      http.Header
-	status int
-	n      int64
-	buf    []byte
-}
-
-func newNullWriter() *nullWriter {
-	return &nullWriter{h: make(http.Header, 8), buf: make([]byte, 32<<10)}
-}
-
-func (w *nullWriter) Header() http.Header { return w.h }
-
-func (w *nullWriter) WriteHeader(code int) { w.status = code }
-
-func (w *nullWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
-func (w *nullWriter) ReadFrom(src io.Reader) (int64, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	var n int64
-	for {
-		m, err := src.Read(w.buf)
-		n += int64(m)
-		w.n += int64(m)
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-	}
-}
-
-func (w *nullWriter) reset() {
-	w.status = 0
-	w.n = 0
-	clear(w.h)
-}
-
-// runVideoScenario drives the content-addressed video read path alone:
-// each worker replays a fixed conditional/full/Range request mix
-// against the in-memory tier in a tight loop, dispatching straight
-// into the handler with reused requests and a nullWriter, so the
-// measured cost is the mux, the handler and the blob store — not
-// recorder allocation or TCP. The 5/3/2 mix mirrors a replayed crowd,
-// where most fetches are browser-cache revalidations (304), some are
-// cold full-body pulls, and a tail resumes with Range.
-func runVideoScenario(set benchSettings, instrumented bool) (benchScenario, error) {
-	srv, err := platform.Open(platform.Options{
-		Shards: set.shards, DisableTelemetry: !instrumented, SnapshotEvery: -1,
-	})
-	if err != nil {
-		return benchScenario{}, err
-	}
-	defer srv.Close()
-	h := srv.Handler()
-	client := &http.Client{Transport: directTransport{h: h}}
-	target := "http://bench.local"
-	_, ids, err := seedCampaign(client, target, set.kind, set.payloads)
-	if err != nil {
-		return benchScenario{}, fmt.Errorf("campaign: %w", err)
-	}
-	// One priming GET per video collects the content-hash ETag and the
-	// served size the request mix is built from.
-	etags := make([]string, len(ids))
-	sizes := make([]int64, len(ids))
-	for i, id := range ids {
-		resp, err := client.Get(target + "/api/v1/videos/" + id)
-		if err != nil {
-			return benchScenario{}, err
-		}
-		n, _ := io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") == "" || n == 0 {
-			return benchScenario{}, fmt.Errorf("priming video %s: status %d, etag %q, %d bytes",
-				id, resp.StatusCode, resp.Header.Get("ETag"), n)
-		}
-		etags[i], sizes[i] = resp.Header.Get("ETag"), n
-	}
-	conc := cpuConcurrency(set.concurrency)
-	start := time.Now()
-	recordFrom := start.Add(benchWarmup(set.duration))
-	deadline := recordFrom.Add(set.duration)
-	var badStatus atomic.Int32
-	stats, perr := parallel.Map(conc, conc, func(w int) (*workerStats, error) {
-		// Requests are built once and redispatched: a GET has no body to
-		// rewind, and the mux overwrites its route match on every
-		// ServeHTTP, so reuse is safe on one goroutine.
-		type shot struct {
-			kind  string
-			req   *http.Request
-			want  int
-			bytes int64
-		}
-		shots := make([]shot, 0, len(ids)*10)
-		for i, id := range ids {
-			full := httptest.NewRequest("GET", "/api/v1/videos/"+id, nil)
-			cond := httptest.NewRequest("GET", "/api/v1/videos/"+id, nil)
-			cond.Header.Set("If-None-Match", etags[i])
-			half := sizes[i] / 2
-			rng := httptest.NewRequest("GET", "/api/v1/videos/"+id, nil)
-			rng.Header.Set("Range", fmt.Sprintf("bytes=0-%d", half-1))
-			for k := 0; k < 5; k++ {
-				shots = append(shots, shot{"video_cond", cond, http.StatusNotModified, 0})
-			}
-			for k := 0; k < 3; k++ {
-				shots = append(shots, shot{"video", full, http.StatusOK, sizes[i]})
-			}
-			for k := 0; k < 2; k++ {
-				shots = append(shots, shot{"video_range", rng, http.StatusPartialContent, half})
-			}
-		}
-		st := newWorkerStats()
-		nw := newNullWriter()
-		for i := w; ; i++ {
-			now := time.Now()
-			if now.After(deadline) {
-				return st, nil
-			}
-			sh := &shots[i%len(shots)]
-			nw.reset()
-			h.ServeHTTP(nw, sh.req)
-			if nw.status != sh.want || nw.n != sh.bytes {
-				st.errors++
-				badStatus.CompareAndSwap(0, int32(nw.status))
-				continue
-			}
-			if now.After(recordFrom) {
-				st.lat[sh.kind] = append(st.lat[sh.kind], time.Since(now))
-			}
-		}
-	})
-	elapsed := time.Since(recordFrom)
-	if perr != nil {
-		return benchScenario{}, perr
-	}
-	if bs := badStatus.Load(); bs != 0 {
-		logf("bench video-heavy: unexpected responses (first bad status %d)", bs)
-	}
-	agg := merge(stats)
-	sc := scenarioMetrics("video-heavy", false, platform.Options{}, agg, elapsed)
-	sc.Concurrency = conc
-	var all []time.Duration
-	for _, name := range []string{"video", "video_cond", "video_range"} {
-		all = append(all, agg.byEndpoint[name]...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	sc.VideoP50Ms = fmsF(pct(all, 0.50))
-	sc.VideoP99Ms = fmsF(pct(all, 0.99))
-	return sc, nil
-}
-
-// mustIngestScenario mirrors mustVideoScenario for the sessionless
-// events-path hammer: health is zero errors and a non-empty window.
-func mustIngestScenario(set benchSettings, binary bool, ok *bool) benchScenario {
-	sc, err := runIngestScenario(set, binary)
-	if err != nil {
-		fatalf("bench %s: %v", ingestScenarioName(binary), err)
-	}
-	if sc.Errors > 0 || sc.Requests == 0 {
-		logf("bench %s FAILED: %d errors, %d requests", sc.Name, sc.Errors, sc.Requests)
-		*ok = false
-	}
-	return sc
-}
-
-func ingestScenarioName(binary bool) string {
-	if binary {
-		return "binary-batch"
-	}
-	return "json-events"
-}
-
-// runIngestScenario hammers the events endpoint alone on an in-memory
-// server: each worker owns one pre-joined, never-completing session and
-// replays a fixed flush of ingestBatchRecords engagement records in a
-// tight loop — as 64 per-record JSON POSTs, or as one EYB1 batch POST.
-// Direct dispatch through a reused nullWriter keeps the measurement on
-// the decode + shard-lock + apply pipeline rather than the driver; the
-// payload bytes are built once and replayed, so the per-request driver
-// cost is one bytes.Reader on either protocol. The record values vary
-// per record so the binary side exercises real varint/delta encoding
-// widths, not a degenerate all-equal stream.
-func runIngestScenario(set benchSettings, binary bool) (benchScenario, error) {
-	srv, err := platform.Open(platform.Options{Shards: set.shards, SnapshotEvery: -1})
-	if err != nil {
-		return benchScenario{}, err
-	}
-	defer srv.Close()
-	h := srv.Handler()
-	client := &http.Client{Transport: directTransport{h: h}}
-	target := "http://bench.local"
-	campaign, _, err := seedCampaign(client, target, set.kind, set.payloads)
-	if err != nil {
-		return benchScenario{}, fmt.Errorf("campaign: %w", err)
-	}
-	conc := cpuConcurrency(set.concurrency)
-	type lane struct {
-		path     string
-		payloads [][]byte // one per request: 64 JSON bodies, or 1 EYB1 batch
-	}
-	lanes := make([]lane, conc)
-	for w := range lanes {
-		body := fmt.Sprintf(
-			`{"campaign":%q,"worker":{"id":"ingest-w%d","gender":"f","country":"IT","source":"bench"},"captcha":"bench"}`,
-			campaign, w)
-		var jr platform.JoinResponse
-		if status, _, err := doJSON(client, "POST", target+"/api/v1/sessions", []byte(body), &jr); err != nil || status != http.StatusCreated {
-			return benchScenario{}, fmt.Errorf("join ingest-w%d: status %d, err %v", w, status, err)
-		}
-		batches := make([]platform.EventBatch, ingestBatchRecords)
-		for i := range batches {
-			batches[i] = platform.EventBatch{
-				VideoID:         jr.Tests[i%len(jr.Tests)].VideoID,
-				LoadMs:          100 + float64(i)*3.7,
-				TimeOnVideoMs:   5_000 + float64(i)*211.3,
-				OutOfFocusMs:    float64(i%7) * 13.1,
-				Plays:           1 + i%2,
-				Pauses:          i % 3,
-				Seeks:           i % 11,
-				WatchedFraction: float64(i%10) / 10,
-			}
-		}
-		ln := lane{path: "/api/v1/sessions/" + jr.Session + "/events"}
-		if binary {
-			var recs []wire.Record
-			for _, b := range batches {
-				recs = platform.AppendWireRecords(recs, b)
-			}
-			ln.payloads = [][]byte{wire.AppendBatch(nil, recs)}
-		} else {
-			for _, b := range batches {
-				js, err := json.Marshal(b)
-				if err != nil {
-					return benchScenario{}, err
-				}
-				ln.payloads = append(ln.payloads, js)
-			}
-		}
-		lanes[w] = ln
-	}
-	ct := "application/json"
-	if binary {
-		ct = wire.ContentType
-	}
-	start := time.Now()
-	recordFrom := start.Add(benchWarmup(set.duration))
-	deadline := recordFrom.Add(set.duration)
-	var badStatus atomic.Int32
-	stats, perr := parallel.Map(conc, conc, func(w int) (*workerStats, error) {
-		ln := &lanes[w]
-		st := newWorkerStats()
-		nw := newNullWriter()
-		for i := 0; ; i++ {
-			now := time.Now()
-			if now.After(deadline) {
-				return st, nil
-			}
-			payload := ln.payloads[i%len(ln.payloads)]
-			req := httptest.NewRequest("POST", ln.path, bytes.NewReader(payload))
-			req.Header.Set("Content-Type", ct)
-			nw.reset()
-			h.ServeHTTP(nw, req)
-			if nw.status != http.StatusAccepted {
-				st.errors++
-				badStatus.CompareAndSwap(0, int32(nw.status))
-				continue
-			}
-			if now.After(recordFrom) {
-				st.lat["events"] = append(st.lat["events"], time.Since(now))
-			}
-		}
-	})
-	elapsed := time.Since(recordFrom)
-	if perr != nil {
-		return benchScenario{}, perr
-	}
-	if bs := badStatus.Load(); bs != 0 {
-		logf("bench %s: unexpected responses (first bad status %d)", ingestScenarioName(binary), bs)
-	}
-	agg := merge(stats)
-	sc := scenarioMetrics(ingestScenarioName(binary), false, platform.Options{}, agg, elapsed)
-	sc.Concurrency = conc
-	perRequest := 1
-	if binary {
-		perRequest = ingestBatchRecords
-	}
-	sc.RecordsPerS = sc.RequestsPerS * float64(perRequest)
-	return sc, nil
-}
-
-// mustClusterScenario runs one leg of the scale-out pair, clearing *ok
-// when it errored or completed nothing, and returns the campaign count
-// it seeded so the paired leg can match it.
-func mustClusterScenario(set benchSettings, nodes, nCampaigns int, ok *bool) (benchScenario, int) {
-	sc, seeded, err := runClusterScenario(set, nodes, nCampaigns)
-	if err != nil {
-		fatalf("bench %s: %v", clusterScenarioName(nodes), err)
-	}
-	if sc.Errors > 0 || sc.Completed == 0 {
-		logf("bench %s FAILED: %d errors, %d completed", sc.Name, sc.Errors, sc.Completed)
-		*ok = false
-	}
-	return sc, seeded
-}
-
-func clusterScenarioName(nodes int) string {
-	if nodes == 1 {
-		return "single-node"
-	}
-	return fmt.Sprintf("cluster-%dnode", nodes)
-}
-
-// runClusterScenario drives the persona lifecycle against either one
-// per-record-fsync platform server (nodes == 1) or an in-process
-// cluster of that many such nodes behind the proxying router, with WAL
-// windows shipping to each node's follower exactly as in production.
-// The campaign set spreads the crowd: the cluster leg seeds until
-// every node owns at least one campaign (passing nCampaigns 0), the
-// single leg replays the same count so the two legs run the identical
-// workload shape. Both legs dispatch directly into the entry handler,
-// so the cluster leg's measured path includes the router's buffering,
-// resolution and response copying — the honest cost of the extra tier.
-// Both legs run under clusterSyncFloor, pricing each node's flushes
-// like an independent disk instead of the CI host's shared write
-// cache; see that constant for the reasoning.
-func runClusterScenario(set benchSettings, nodes, nCampaigns int) (benchScenario, int, error) {
-	name := clusterScenarioName(nodes)
-	if set.dataDir != "" {
-		if err := os.MkdirAll(set.dataDir, 0o755); err != nil {
-			return benchScenario{}, 0, err
-		}
-	}
-	dir, err := os.MkdirTemp(set.dataDir, "eyeorg-bench-*")
-	if err != nil {
-		return benchScenario{}, 0, err
-	}
-	defer os.RemoveAll(dir)
-	var h http.Handler
-	var covered func() bool
-	if nodes == 1 {
-		srv, err := platform.Open(platform.Options{
-			DataDir: dir, Fsync: true, SyncDelay: clusterSyncFloor,
-			Shards: set.shards, SnapshotEvery: -1,
-		})
-		if err != nil {
-			return benchScenario{}, 0, err
-		}
-		defer srv.Close()
-		h = srv.Handler()
-		if nCampaigns <= 0 {
-			nCampaigns = 1
-		}
-	} else {
-		members := clusterMembers[:nodes]
-		cl, err := cluster.New(cluster.Config{
-			Nodes: members, Dir: dir, Fsync: true, SyncDelay: clusterSyncFloor,
-			SnapshotEvery: -1,
-		})
-		if err != nil {
-			return benchScenario{}, 0, err
-		}
-		defer cl.Close()
-		h = cl.Handler()
-		covered = clusterCoverage(cl, members)
-		if nCampaigns <= 0 {
-			nCampaigns = nodes
-		}
-	}
-	client := &http.Client{Transport: directTransport{h: h}}
-	target := "http://bench.local"
-	campaigns, videoIDs, payloads, err := seedCampaignSet(client, target, set.kind, set.payloads, nCampaigns, covered, clusterSeedCap)
-	if err != nil {
-		return benchScenario{}, 0, fmt.Errorf("campaigns: %w", err)
-	}
-	agg, elapsed := runLoad(loadConfig{
-		client:      client,
-		target:      target,
-		campaigns:   campaigns,
-		kind:        set.kind,
-		concurrency: set.concurrency,
-		duration:    set.duration,
-		maxSessions: int64(set.sessions),
-		seed:        set.seed,
-		warmup:      benchWarmup(set.duration),
-		videoIDs:    videoIDs,
-		payloads:    payloads,
-	})
-	sc := scenarioMetrics(name, true, platform.Options{Fsync: true}, agg, elapsed)
-	sc.Concurrency = set.concurrency
-	return sc, len(campaigns), nil
-}
-
 func (r *benchReport) scenario(name string) *benchScenario {
 	for i := range r.Scenarios {
 		if r.Scenarios[i].Name == name {
@@ -1391,14 +1162,27 @@ func (r *benchReport) scenario(name string) *benchScenario {
 	return nil
 }
 
+// loadReport reads a -bench-out document.
+func loadReport(path string) (*benchReport, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rep benchReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &rep, nil
+}
+
 // scenarioMetrics folds one run's aggregate into the report shape.
-func scenarioMetrics(name string, persist bool, opts platform.Options, agg *aggregate, elapsed time.Duration) benchScenario {
+func scenarioMetrics(row *benchRow, agg *aggregate, elapsed time.Duration) benchScenario {
 	secs := elapsed.Seconds()
 	sc := benchScenario{
-		Name:         name,
-		Persist:      persist,
-		Fsync:        opts.Fsync,
-		GroupCommit:  opts.GroupCommit,
+		Name:         row.name,
+		Persist:      row.persist,
+		Fsync:        row.opts.Fsync,
+		GroupCommit:  row.opts.GroupCommit,
 		DurationS:    secs,
 		Sessions:     agg.sessions,
 		Completed:    agg.completed,
@@ -1431,74 +1215,4 @@ func scenarioMetrics(name string, persist bool, opts platform.Options, agg *aggr
 // so the committed baseline diffs stay readable.
 func fmsF(d time.Duration) float64 {
 	return float64(d.Round(time.Microsecond)) / float64(time.Millisecond)
-}
-
-// compareBaseline gates the run against a committed baseline, failing
-// any gated scenario whose throughput regressed more than tol. The
-// gate's charter is the durability pipeline — the thing the matrix
-// varies — so the comparison is chosen for signal over noise:
-//
-//   - wal and the group-commit scenarios pass if EITHER their absolute
-//     req/s OR their req/s relative to the same run's mem ceiling is
-//     within tolerance. A genuine storage regression (a window
-//     accidentally serialized, an ack held under a lock) tanks both;
-//     machine or device noise rarely tanks both in one run, and the
-//     mem-relative ratio keeps the gate meaningful on a host whose
-//     absolute speed differs from the baseline machine's;
-//   - mem is reported but not gated: it has no ceiling to normalize
-//     by, and gating a foreign machine's absolute req/s is pure noise.
-//     Pure CPU regressions are the Go benchmarks' job, not this gate's;
-//   - fsync-record is reported but not gated: its serialized fsync
-//     queue amplifies device variance far beyond any useful tolerance
-//     (observed >30% run-to-run on one machine), and the code it
-//     exercises is the same append path the gated scenarios cover;
-//   - video-heavy is gated like wal (absolute OR mem-relative req/s):
-//     it is pure CPU, so the mem ceiling normalizes it well. Its
-//     absolute floors — videoReqFloor and videoP99BudgetMs — are
-//     enforced unconditionally in runBench, baseline or not.
-func compareBaseline(path string, cur *benchReport, tol float64) bool {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		logf("bench baseline: %v", err)
-		return false
-	}
-	var base benchReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		logf("bench baseline %s: %v", path, err)
-		return false
-	}
-	ok := true
-	for i := range cur.Scenarios {
-		sc := &cur.Scenarios[i]
-		b := base.scenario(sc.Name)
-		if b == nil || b.RequestsPerS <= 0 {
-			// The decision pair lands here by design: it reports
-			// sessions_to_decision, not throughput, and runBench gates
-			// it against adaptiveDecisionFloor instead.
-			logf("bench compare %s: no throughput baseline, skipping", sc.Name)
-			continue
-		}
-		absOK := sc.RequestsPerS >= b.RequestsPerS*(1-tol)
-		ratioOK := false
-		if curMem, baseMem := cur.scenario("mem"), base.scenario("mem"); curMem != nil && baseMem != nil &&
-			curMem.RequestsPerS > 0 && baseMem.RequestsPerS > 0 {
-			ratioOK = sc.RequestsPerS/curMem.RequestsPerS >= (b.RequestsPerS/baseMem.RequestsPerS)*(1-tol)
-		}
-		switch {
-		case sc.Name == "mem", sc.Name == "fsync-record", sc.Name == "single-node", sc.Name == "cluster-3node":
-			// The scale-out pair shares fsync-record's device-variance
-			// problem; its real gate is the cluster_session_speedup ratio,
-			// recomputed and enforced inside every runBench.
-			logf("bench compare %s: %.1f req/s vs baseline %.1f (informational, not gated)",
-				sc.Name, sc.RequestsPerS, b.RequestsPerS)
-		case absOK, ratioOK:
-			logf("bench compare %s: %.1f req/s vs baseline %.1f ok (abs=%v ratio=%v)",
-				sc.Name, sc.RequestsPerS, b.RequestsPerS, absOK, ratioOK)
-		default:
-			logf("bench REGRESSION %s: %.1f req/s vs baseline %.1f — absolute and mem-relative both beyond %.0f%% tolerance",
-				sc.Name, sc.RequestsPerS, b.RequestsPerS, tol*100)
-			ok = false
-		}
-	}
-	return ok
 }

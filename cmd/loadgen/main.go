@@ -38,32 +38,17 @@
 // every request travels through the router's ownership resolution —
 // the full production scale-out path, driveable from one command.
 //
-// With -bench the generator runs the durability-mode benchmark matrix
-// — in-memory, buffered WAL, per-record fsync, and opportunistic plus
-// windowed group-commit fsync — each against a fresh in-process
-// server, and writes a machine-readable report (throughput plus
-// p50/p99 per endpoint, the events+response "ingest" latency, and the
-// server's own /metrics-reported ingest p99) to -bench-out. A sixth
-// scenario, video-heavy, hammers the content-addressed video read path
-// (conditional, full-body and Range GETs against the in-memory tier)
-// and gates an absolute throughput floor and p99 budget; every
-// scenario excludes a warmup ramp from its recorded stats, and
-// in-memory scenarios fail on pathological p99/p50 skew (see bench.go).
-// -bench-compare gates against a committed baseline report: a gated
-// scenario fails the run when both its absolute and its mem-relative
-// throughput drop more than -bench-tolerance (see compareBaseline in
-// bench.go for the per-scenario policy). Each trial additionally runs
-// two twins back to back: a telemetry-disabled one (every scenario)
-// and a tracing-enabled one (mem at the production 1% sample, the
-// windowed group-commit scenario retaining every request). The run
-// fails when either instrumentation or request tracing costs more
-// than -bench-overhead-tolerance of the disk-free mem scenario's
-// throughput (paired per-trial medians; the disk-backed scenarios'
-// overheads are reported but too device-noisy to gate on) — the
-// checks that keep /metrics and stage tracing effectively free. The
-// durable tracing twin also reads /debug/traces back into a per-stage
-// ingest p99 breakdown, gated so the stage sum accounts for ≥90% of
-// the e2e trace p99 (see runBench in bench.go).
+// With -bench the generator runs the in-process gate matrix instead:
+// every row of bench.go's scenario table (the durability modes, the
+// video read path, JSON vs EYB1 ingest, fixed vs adaptive campaigns,
+// one node vs a 3-node cluster) against fresh in-process servers by
+// direct handler dispatch, writes the report to -bench-out, and then
+// holds it to every row of the gate table: absolute floors and
+// ceilings, the telemetry and tracing overheads against
+// -bench-overhead-tolerance, and with -bench-compare each
+// baseline-gated scenario's throughput against the committed report
+// within -bench-tolerance. The end-to-end benchmark, over loopback
+// with the client in its own process, is crowdbench/.
 //
 // -log-format text|json selects the log/slog handler every line goes
 // through, mirroring the server's flag.
@@ -104,7 +89,7 @@ import (
 
 // logger carries every generator line through log/slog, matching the
 // server's structured logging. The default (used by tests that call
-// runBench/runScenario directly) is the text handler; main replaces it
+// the bench functions directly) is the text handler; main replaces it
 // per -log-format. logf/fatalf keep the pre-formatted report lines —
 // throughput tables, percentile rows — as the msg field rather than
 // exploding them into attrs: their consumers are humans and greppers,
@@ -151,8 +136,7 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "global in-flight request cap for the -selftest server (0 = unlimited)")
 		workerRate  = flag.Float64("worker-rate", 0, "per-session req/s cap for the -selftest server (0 = unlimited)")
 		expectThrot = flag.Bool("expect-throttle", false, "fail unless the run saw admission-control 429s (saturation selftest)")
-		bench       = flag.Bool("bench", false, "run the durability-mode benchmark matrix (in-process servers)")
-		benchHTTP   = flag.Bool("bench-http", false, "drive -bench through real HTTP instead of direct handler dispatch")
+		bench       = flag.Bool("bench", false, "run the in-process benchmark gate matrix")
 		benchTrials = flag.Int("bench-trials", 3, "trials per -bench scenario; the median-throughput trial is reported")
 		benchOut    = flag.String("bench-out", "BENCH_platform.json", "where -bench writes its report")
 		benchCmp    = flag.String("bench-compare", "", "baseline report for -bench to gate throughput against")
@@ -178,7 +162,6 @@ func main() {
 			seed:        *seed,
 			shards:      *shards,
 			payloads:    payloads,
-			http:        *benchHTTP,
 			trials:      *benchTrials,
 			dataDir:     *dataDir,
 			out:         *benchOut,

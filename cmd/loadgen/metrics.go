@@ -1,10 +1,8 @@
 // Scraping the platform's /metrics endpoint: the load generator reads
 // back the server's self-reported latency histograms so a run (and the
 // bench report) can cross-check the server's view of ingest latency
-// against the client-observed one. The parser speaks just enough of
-// the Prometheus text exposition format to read histogram bucket
-// series — which doubles as an integration check that the exposition
-// is consumable by a real scraper.
+// against the client-observed one — which doubles as an integration
+// check that the exposition is consumable by a real scraper.
 package main
 
 import (
@@ -12,96 +10,9 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
-	"strconv"
-	"strings"
 
 	"github.com/eyeorg/eyeorg/internal/telemetry"
 )
-
-// promHist is one parsed histogram family in telemetry.BucketQuantile's
-// shape: sorted bucket upper bounds (seconds) and per-bucket counts.
-type promHist struct {
-	bounds []float64 // +Inf excluded; counts has one extra entry for it
-	counts []uint64  // per bucket, len(bounds)+1
-	total  uint64
-}
-
-// parseBucketLine splits one exposition line into (metric, labels,
-// value), reporting ok=false for comments and non-sample lines.
-func parseBucketLine(line string) (metric, labels string, value float64, ok bool) {
-	if line == "" || strings.HasPrefix(line, "#") {
-		return "", "", 0, false
-	}
-	sp := strings.LastIndexByte(line, ' ')
-	if sp < 0 {
-		return "", "", 0, false
-	}
-	v, err := strconv.ParseFloat(line[sp+1:], 64)
-	if err != nil {
-		return "", "", 0, false
-	}
-	name := line[:sp]
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		if !strings.HasSuffix(name, "}") {
-			return "", "", 0, false
-		}
-		return name[:i], name[i+1 : len(name)-1], v, true
-	}
-	return name, "", v, true
-}
-
-// labelValue extracts one label's value from a rendered label set.
-func labelValue(labels, key string) string {
-	for _, kv := range strings.Split(labels, ",") {
-		if k, v, ok := strings.Cut(kv, "="); ok && k == key {
-			return strings.Trim(v, `"`)
-		}
-	}
-	return ""
-}
-
-// mergeHistograms parses every `metric_bucket` series whose endpoint
-// label passes keep and merges their buckets into one histogram (all
-// series of one family share bucket bounds by construction).
-func mergeHistograms(exposition, metric string, keep func(endpoint string) bool) *promHist {
-	byBound := map[float64]uint64{}
-	hasInf := false
-	var inf uint64
-	for _, line := range strings.Split(exposition, "\n") {
-		name, labels, v, ok := parseBucketLine(line)
-		if !ok || name != metric+"_bucket" || !keep(labelValue(labels, "endpoint")) {
-			continue
-		}
-		le := labelValue(labels, "le")
-		if le == "+Inf" {
-			inf += uint64(v)
-			hasInf = true
-			continue
-		}
-		bound, err := strconv.ParseFloat(le, 64)
-		if err != nil {
-			continue
-		}
-		byBound[bound] += uint64(v)
-	}
-	if !hasInf {
-		return &promHist{}
-	}
-	h := &promHist{bounds: make([]float64, 0, len(byBound)), total: inf}
-	for b := range byBound {
-		h.bounds = append(h.bounds, b)
-	}
-	sort.Float64s(h.bounds)
-	// The exposition's buckets are cumulative; difference them.
-	var prev uint64
-	for _, b := range h.bounds {
-		h.counts = append(h.counts, byBound[b]-prev)
-		prev = byBound[b]
-	}
-	h.counts = append(h.counts, inf-prev)
-	return h
-}
 
 // scrapeIngestP99 reads the target's /metrics and returns the server's
 // self-reported p99 over the ingest endpoints (events + responses), in
@@ -121,11 +32,15 @@ func scrapeIngestP99(client *http.Client, target string) (float64, error) {
 		return 0, err
 	}
 	ingest := func(endpoint string) bool { return endpoint == "events" || endpoint == "response" }
-	h := mergeHistograms(string(body), "eyeorg_http_request_seconds", ingest)
-	if h.total == 0 {
+	bounds, counts := telemetry.ParseHistogram(string(body), "eyeorg_http_request_seconds", "endpoint", ingest)
+	var n uint64
+	for _, c := range counts {
+		n += c
+	}
+	if n == 0 {
 		return 0, fmt.Errorf("no ingest samples in exposition")
 	}
-	return telemetry.BucketQuantile(h.bounds, h.counts, 0.99) * 1000, nil
+	return telemetry.BucketQuantile(bounds, counts, 0.99) * 1000, nil
 }
 
 // roundMs rounds a float millisecond value to the microsecond, the

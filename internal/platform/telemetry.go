@@ -78,8 +78,6 @@ func newServerMetrics() *serverMetrics {
 	}
 	reg.Help("eyeorg_http_requests_total", "API requests by endpoint and status class.")
 	reg.Help("eyeorg_http_request_seconds", "API request latency by endpoint.")
-	reg.Help("eyeorg_http_request_p50_seconds", "Interpolated median request latency by endpoint.")
-	reg.Help("eyeorg_http_request_p99_seconds", "Interpolated p99 request latency by endpoint.")
 	for _, name := range endpoints {
 		em := &endpointMetrics{
 			lat: reg.Histogram("eyeorg_http_request_seconds", `endpoint="`+name+`"`, nil),
@@ -88,11 +86,6 @@ func newServerMetrics() *serverMetrics {
 			em.codes[i] = reg.Counter("eyeorg_http_requests_total",
 				`endpoint="`+name+`",code="`+class+`"`)
 		}
-		lat := em.lat
-		reg.GaugeFunc("eyeorg_http_request_p50_seconds", `endpoint="`+name+`"`,
-			func() float64 { return lat.Quantile(0.50) })
-		reg.GaugeFunc("eyeorg_http_request_p99_seconds", `endpoint="`+name+`"`,
-			func() float64 { return lat.Quantile(0.99) })
 		m.byName[name] = em
 	}
 	reg.Help("eyeorg_admission_rejected_total", "Requests refused by admission control, by reason.")

@@ -394,6 +394,82 @@ func (r *Registry) Render(w io.Writer) {
 	}
 }
 
+// ParseHistogram reads one histogram family back from a text
+// exposition, the inverse of Render for histograms: it merges every
+// `metric_bucket` series whose value for label key passes keep (all
+// series of one family share bucket bounds by construction) and
+// returns BucketQuantile's inputs — the ascending finite bounds and the
+// per-bucket counts, overflow last. A family with no series parses to
+// nil slices, whose quantile is 0.
+func ParseHistogram(exposition, metric, key string, keep func(value string) bool) (bounds []float64, counts []uint64) {
+	byBound := map[float64]uint64{}
+	hasInf := false
+	var inf uint64
+	for _, line := range strings.Split(exposition, "\n") {
+		name, labels, v, ok := parseSample(line)
+		if !ok || name != metric+"_bucket" || !keep(labelValue(labels, key)) {
+			continue
+		}
+		le := labelValue(labels, "le")
+		if le == "+Inf" {
+			inf += uint64(v)
+			hasInf = true
+			continue
+		}
+		if bound, err := strconv.ParseFloat(le, 64); err == nil {
+			byBound[bound] += uint64(v)
+		}
+	}
+	if !hasInf {
+		return nil, nil
+	}
+	for b := range byBound {
+		bounds = append(bounds, b)
+	}
+	sort.Float64s(bounds)
+	// The exposition's buckets are cumulative; difference them.
+	var prev uint64
+	for _, b := range bounds {
+		counts = append(counts, byBound[b]-prev)
+		prev = byBound[b]
+	}
+	return bounds, append(counts, inf-prev)
+}
+
+// parseSample splits one exposition line into (metric, labels, value),
+// reporting ok=false for comments and non-sample lines.
+func parseSample(line string) (metric, labels string, value float64, ok bool) {
+	if line == "" || strings.HasPrefix(line, "#") {
+		return "", "", 0, false
+	}
+	sp := strings.LastIndexByte(line, ' ')
+	if sp < 0 {
+		return "", "", 0, false
+	}
+	v, err := strconv.ParseFloat(line[sp+1:], 64)
+	if err != nil {
+		return "", "", 0, false
+	}
+	name := line[:sp]
+	if i := strings.IndexByte(name, '{'); i >= 0 {
+		if !strings.HasSuffix(name, "}") {
+			return "", "", 0, false
+		}
+		return name[:i], name[i+1 : len(name)-1], v, true
+	}
+	return name, "", v, true
+}
+
+// labelValue extracts one label's value from a rendered label set.
+func labelValue(labels, key string) string {
+	for _, kv := range strings.Split(labels, ",") {
+		if k, v, ok := strings.Cut(kv, "="); ok && k == key {
+			return strings.Trim(v, `"`)
+		}
+	}
+	return ""
+}
+
 // Handler serves the registry as a Prometheus scrape endpoint.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {

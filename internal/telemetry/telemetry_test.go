@@ -198,3 +198,49 @@ func TestRenderWhileRecording(t *testing.T) {
 		t.Fatalf("nothing recorded")
 	}
 }
+
+// TestScrapedQuantileMatchesHistogram round-trips observations through
+// the text exposition: two endpoint series rendered by the registry,
+// parsed and merged by ParseHistogram, must give the same quantile
+// estimate Histogram.Quantile gives on one histogram holding every
+// observation.
+func TestScrapedQuantileMatchesHistogram(t *testing.T) {
+	bounds := []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1}
+	reg := NewRegistry()
+	events := reg.Histogram("eyeorg_http_request_seconds", `endpoint="events"`, bounds)
+	response := reg.Histogram("eyeorg_http_request_seconds", `endpoint="response"`, bounds)
+	join := reg.Histogram("eyeorg_http_request_seconds", `endpoint="join"`, bounds)
+	union := reg.Histogram("union_seconds", "", bounds)
+	for i := 0; i < 500; i++ {
+		d := time.Duration(i*i) * 700 * time.Nanosecond // 0 to ~175 ms: every bucket, overflow too
+		if i%3 == 0 {
+			response.Observe(d)
+		} else {
+			events.Observe(d)
+		}
+		union.Observe(d)
+		join.Observe(time.Second) // filtered out by keep
+	}
+	var sb strings.Builder
+	reg.Render(&sb)
+
+	ingest := func(endpoint string) bool { return endpoint == "events" || endpoint == "response" }
+	gotBounds, counts := ParseHistogram(sb.String(), "eyeorg_http_request_seconds", "endpoint", ingest)
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
+	if total != union.Count() {
+		t.Fatalf("merged %d observations, want %d", total, union.Count())
+	}
+	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {
+		got, want := BucketQuantile(gotBounds, counts, q), union.Quantile(q)
+		if got != want {
+			t.Fatalf("q=%v: scraped estimate %v, Histogram.Quantile %v", q, got, want)
+		}
+	}
+	if b, c := ParseHistogram(sb.String(), "absent_seconds", "endpoint", ingest); len(c) != 0 ||
+		BucketQuantile(b, c, 0.99) != 0 {
+		t.Fatalf("absent family: bounds %v counts %v", b, c)
+	}
+}
