@@ -23,10 +23,13 @@
 // 307 for campaigns it has handed off, and in proxy mode the router
 // follows those fences server-side and pins the new owner. The
 // router's own counters — requests per node, fence hops followed,
-// failovers, unroutable requests — are served on GET /metrics.
+// unroutable requests — are served on GET /metrics.
 //
 // The router holds no durable state: restarting it loses only warm
-// routing tables, which rebuild from the ring and node responses.
+// routing tables, which rebuild from the ring and node responses. It
+// never marks a node dead and nothing replicates a node's journal: a
+// node that crashes is unavailable, and its campaigns fail, until it
+// restarts over its data directory.
 package main
 
 import (

@@ -242,9 +242,9 @@ const (
 	// fsync mode — the durability configuration where scale-out pays:
 	// each node owns an independent fsync pipeline, so three nodes run
 	// three flushes in parallel where one node serializes them. Router
-	// proxying, window shipping to the followers, and imperfect campaign
-	// balance all eat into the ideal 3x; under 2.2x the partitioning
-	// stops earning its keep.
+	// proxying and imperfect campaign balance eat into the ideal 3x
+	// (the nodes replicate nothing); under 2.2x the partitioning stops
+	// earning its keep.
 	clusterSessionFloor = 2.2
 	// stageCoverageFloorPct is how much of the durable scenario's e2e
 	// trace p99 the per-stage p99 sum must account for — the proof that

@@ -32,11 +32,11 @@
 //
 // With -selftest -cluster the in-process target is a 3-node cluster
 // behind the campaign router instead of a single server: every node
-// runs its own journal (honoring -data-dir/-fsync/-group-commit) and
-// ships sealed WAL windows to its follower replica, campaigns spread
-// across nodes by consistent hash until each owns at least one, and
-// every request travels through the router's ownership resolution —
-// the full production scale-out path, driveable from one command.
+// runs its own journal (honoring -data-dir/-fsync/-group-commit; no
+// journal is replicated), campaigns spread across nodes by consistent
+// hash until each owns at least one, and every request travels through
+// the router's ownership resolution — the full production scale-out
+// path, driveable from one command.
 //
 // With -bench the generator runs the in-process gate matrix instead:
 // every row of bench.go's scenario table (the durability modes, the
@@ -498,8 +498,8 @@ func seedCampaign(client *http.Client, target, kind string, payloads [][]byte) (
 }
 
 // clusterMembers is the node set -cluster and the bench's cluster
-// scenario bring up: three nodes, the smallest cluster where failover,
-// successor chains and partitioning are all non-trivial.
+// scenario bring up: three nodes, so the ring partitions campaigns
+// non-trivially and every handoff has a bystander node.
 var clusterMembers = []string{"a", "b", "c"}
 
 // clusterSeedCap bounds how many campaigns seedCampaignSet mints while

@@ -272,11 +272,12 @@ func NewPlatformHandler() http.Handler {
 
 // --- cluster ---
 
-// Cluster partitions campaigns across several platform nodes by
-// consistent hashing, replicates each node's journal into an in-memory
-// follower by WAL window shipping (acked ⇒ shipped ⇒ applied on the
-// follower), and fails campaigns over to the follower's host when a
-// node dies. See internal/cluster and docs/ARCHITECTURE.md.
+// Cluster partitions campaigns across several durable platform nodes
+// by consistent hashing and moves a campaign between nodes with a
+// fenced handoff. Replication is not provided: each node's journal is
+// its only copy, and a dead node's campaigns are unavailable until it
+// restarts over its data directory. See internal/cluster and
+// docs/ARCHITECTURE.md.
 type Cluster = cluster.Cluster
 
 // ClusterConfig describes an in-process cluster (node IDs, data
@@ -297,8 +298,8 @@ type ClusterRing = cluster.Ring
 type ClusterNode = cluster.Node
 
 // NewCluster brings up an in-process cluster: one durable platform
-// node per ID under cfg.Dir, WAL shipping into followers, and a router
-// in front. Drive it through Cluster.Handler().
+// node per ID under cfg.Dir and a router in front. Drive it through
+// Cluster.Handler().
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 
 // NewClusterRing builds a consistent-hash ring over node IDs

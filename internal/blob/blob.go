@@ -332,9 +332,7 @@ func syncDir(dir string) error {
 	return err
 }
 
-// PutBytes stores b: the payload an InlineVideos journal record
-// carries to a replication follower, a campaign import's blobs, and
-// tests.
+// PutBytes stores b: a campaign import's blobs, benchmarks and tests.
 func (s *Store) PutBytes(b []byte) (Ref, bool, error) {
 	return s.Put(bytes.NewReader(b))
 }

@@ -35,8 +35,7 @@ type Config struct {
 	Vnodes int
 	// RouterMode is "proxy" (default) or "redirect".
 	RouterMode string
-	// Adaptive settings forward to every node AND its follower — a
-	// promoted replica must make the identical allocation decisions.
+	// Adaptive settings forward to every node.
 	Adaptive     bool
 	CIHalfWidth  float64
 	AdaptiveSeed int64
@@ -45,27 +44,23 @@ type Config struct {
 }
 
 // Cluster is a set of platform nodes partitioned by campaign plus the
-// router in front of them. It owns the handoff and failover
-// choreography; the nodes and router only mechanize fencing, shipping,
-// and routing.
+// router in front of them. It owns the handoff choreography; the nodes
+// and router only mechanize fencing and routing.
 type Cluster struct {
 	cfg    Config
 	router *Router
 
 	mu    sync.Mutex
 	nodes map[string]*Node
-	order []string // creation order, for successor selection
-	alive map[string]bool
+	order []string // creation order
 
-	// handoffMu serializes campaign migrations: each handoff uses the
-	// source node's single capture outbox and a ring of overrides, and
-	// interleaving two would tangle their tails.
+	// handoffMu serializes campaign migrations, so a campaign moved
+	// twice in a row gets its router overrides in handoff order.
 	handoffMu sync.Mutex
 }
 
-// New brings up the cluster: one durable platform server per node with
-// WAL shipping into an in-memory follower, and a router over all of
-// them.
+// New brings up the cluster: one durable platform server per node and
+// a router over all of them.
 func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("cluster: no nodes configured")
@@ -76,7 +71,6 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:   cfg,
 		nodes: map[string]*Node{},
-		alive: map[string]bool{},
 	}
 	for _, id := range cfg.Nodes {
 		if id == "" || c.nodes[id] != nil {
@@ -90,7 +84,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.nodes[id] = n
 		c.order = append(c.order, id)
-		c.alive[id] = true
 	}
 	ring := NewRing(cfg.Nodes, cfg.Vnodes)
 	var nodeList []*Node
@@ -106,34 +99,9 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// newNode builds one member: the Node shell first (it is the journal's
-// replication sink, so it must exist before Open), then the in-memory
-// follower, then the durable primary shipping into both.
+// newNode opens one member's durable platform server and wraps it in
+// the ownership middleware.
 func (c *Cluster) newNode(id string) (*Node, error) {
-	n := &Node{
-		ID:   id,
-		Base: "http://node-" + id,
-		directory: func(nodeID string) (string, bool) {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			t, ok := c.nodes[nodeID]
-			if !ok {
-				return "", false
-			}
-			return t.Base, true
-		},
-	}
-	follower, err := platform.Open(platform.Options{
-		IDTag:            id + ".",
-		Adaptive:         c.cfg.Adaptive,
-		CIHalfWidth:      c.cfg.CIHalfWidth,
-		AdaptiveSeed:     c.cfg.AdaptiveSeed,
-		DisableTelemetry: true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("follower: %w", err)
-	}
-	n.follower = follower
 	srv, err := platform.Open(platform.Options{
 		DataDir:          filepath.Join(c.cfg.Dir, id),
 		Fsync:            c.cfg.Fsync,
@@ -141,21 +109,23 @@ func (c *Cluster) newNode(id string) (*Node, error) {
 		SyncDelay:        c.cfg.SyncDelay,
 		SnapshotEvery:    c.cfg.SnapshotEvery,
 		IDTag:            id + ".",
-		InlineVideos:     true,
-		Replicate:        n,
 		Adaptive:         c.cfg.Adaptive,
 		CIHalfWidth:      c.cfg.CIHalfWidth,
 		AdaptiveSeed:     c.cfg.AdaptiveSeed,
 		DisableTelemetry: c.cfg.DisableTelemetry,
 	})
 	if err != nil {
-		follower.Close()
 		return nil, err
 	}
-	n.srv = srv
-	n.api = srv.Handler()
-	n.registerMetrics()
-	return n, nil
+	return NewStandaloneNode(id, "http://node-"+id, srv, func(nodeID string) (string, bool) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		t, ok := c.nodes[nodeID]
+		if !ok {
+			return "", false
+		}
+		return t.Base, true
+	}), nil
 }
 
 // Router returns the cluster's router.
@@ -172,153 +142,43 @@ func (c *Cluster) Node(id string) *Node {
 	return c.nodes[id]
 }
 
-// Kill simulates a node crash: the node stops receiving requests, its
-// successor (the next live member in creation order) adopts its
-// follower replica, and the router fails its campaigns over. Nothing
-// on the dead node is flushed or closed — exactly what the replication
-// invariant is for: every mutation the dead node ever acked was
-// shipped to the follower before the ack, so the promoted replica
-// serves it.
-func (c *Cluster) Kill(id string) error {
-	c.mu.Lock()
-	dead, ok := c.nodes[id]
-	if !ok || !c.alive[id] {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: no live node %s", id)
-	}
-	c.alive[id] = false
-	succID := c.successorLocked(id)
-	succ := c.nodes[succID]
-	c.mu.Unlock()
-	if succ == nil {
-		return fmt.Errorf("cluster: no live successor for %s", id)
-	}
-	if err := dead.ReplicationError(); err != nil {
-		return fmt.Errorf("cluster: %s follower diverged, refusing promotion: %w", id, err)
-	}
-	succ.Adopt(dead.follower)
-	for _, campaign := range dead.follower.CampaignIDs() {
-		if _, moved := dead.follower.MovedTo(campaign); !moved {
-			c.router.Override(campaign, succID)
-		}
-	}
-	c.router.MarkDead(id, succID)
-	return nil
-}
-
-// successorLocked picks the next live member after id in creation
-// order, wrapping ("" if none). Caller holds c.mu.
-func (c *Cluster) successorLocked(id string) string {
-	start := 0
-	for i, n := range c.order {
-		if n == id {
-			start = i
-			break
-		}
-	}
-	for off := 1; off <= len(c.order); off++ {
-		cand := c.order[(start+off)%len(c.order)]
-		if c.alive[cand] {
-			return cand
-		}
-	}
-	return ""
-}
-
-// MoveCampaign migrates one campaign between live nodes: snapshot-ship
-// plus journal-tail catch-up.
+// MoveCampaign migrates one campaign between nodes:
 //
-//	capture on ──> export @ cut ──> fence (opHandoff) ──> barrier
-//	    └── tail = captured records after cut, this campaign only
-//	import(state, tail) on target ──> router override
+//	fence (opHandoff on from) ──> export ──> import on to ──> router override
 //
-// Capture starts before the cut is read (no shipped record between cut
-// and fence can be missed) and the barrier waits until the fence is
-// durable — and therefore shipped — so the tail is complete.
+// Fencing first makes the export complete by construction: the fence
+// refuses every later mutation on the old owner, and the export holds
+// the old owner's world lock, so every mutation that passed the fencing
+// check before it has applied. Requests arriving between the fence and
+// the import are answered 307 toward the new owner, which does not
+// know the campaign yet; they fail and are never acked.
 func (c *Cluster) MoveCampaign(campaign, from, to string) error {
 	c.handoffMu.Lock()
 	defer c.handoffMu.Unlock()
 	c.mu.Lock()
 	src, dst := c.nodes[from], c.nodes[to]
-	srcAlive, dstAlive := c.alive[from], c.alive[to]
 	c.mu.Unlock()
-	if src == nil || !srcAlive {
-		return fmt.Errorf("cluster: no live source node %s", from)
+	if src == nil {
+		return fmt.Errorf("cluster: no source node %s", from)
 	}
-	if dst == nil || !dstAlive {
-		return fmt.Errorf("cluster: no live target node %s", to)
-	}
-	src.startCapture()
-	defer src.stopCapture()
-	state, cut, err := src.srv.ExportCampaign(campaign)
-	if err != nil {
-		return fmt.Errorf("cluster: export %s from %s: %w", campaign, from, err)
+	if dst == nil {
+		return fmt.Errorf("cluster: no target node %s", to)
 	}
 	if err := src.srv.Handoff(campaign, to); err != nil {
 		return fmt.Errorf("cluster: fence %s on %s: %w", campaign, from, err)
 	}
-	if err := src.srv.Barrier(); err != nil {
-		return fmt.Errorf("cluster: barrier on %s: %w", from, err)
-	}
-	var tail [][]byte
-	for _, rec := range src.capturedSince(cut) {
-		if owner, ok := src.srv.CampaignOfRecord(rec); ok && owner == campaign {
-			tail = append(tail, rec)
-		}
-	}
-	if err := dst.srv.ImportCampaign(state, tail); err != nil {
-		return fmt.Errorf("cluster: import %s into %s: %w", campaign, to, err)
-	}
-	c.router.Override(campaign, to)
-	return nil
-}
-
-// RestoreCampaign migrates a campaign served from an adopted (memory-
-// only) replica onto a live durable node — the second half of node
-// replacement. The replica is fenced FIRST: it has no journal and no
-// capture outbox, so the fence quiesces it and the export that follows
-// is complete by construction.
-func (c *Cluster) RestoreCampaign(campaign, to string) error {
-	c.handoffMu.Lock()
-	defer c.handoffMu.Unlock()
-	c.mu.Lock()
-	dst := c.nodes[to]
-	dstAlive := c.alive[to]
-	var host *Node
-	var rep *platform.Server
-	for _, id := range c.order {
-		if !c.alive[id] {
-			continue
-		}
-		if as, ok := c.nodes[id].adoptedFor(campaign); ok {
-			host, rep = c.nodes[id], as.srv
-			break
-		}
-	}
-	c.mu.Unlock()
-	if dst == nil || !dstAlive {
-		return fmt.Errorf("cluster: no live target node %s", to)
-	}
-	if host == nil {
-		return fmt.Errorf("cluster: campaign %s is not being served from an adopted replica", campaign)
-	}
-	if err := rep.Handoff(campaign, to); err != nil {
-		return fmt.Errorf("cluster: fence %s on replica at %s: %w", campaign, host.ID, err)
-	}
-	state, _, err := rep.ExportCampaign(campaign)
+	state, err := src.srv.ExportCampaign(campaign)
 	if err != nil {
-		return fmt.Errorf("cluster: export %s from replica at %s: %w", campaign, host.ID, err)
+		return fmt.Errorf("cluster: export %s from %s: %w", campaign, from, err)
 	}
-	if err := dst.srv.ImportCampaign(state, nil); err != nil {
+	if err := dst.srv.ImportCampaign(state); err != nil {
 		return fmt.Errorf("cluster: import %s into %s: %w", campaign, to, err)
 	}
 	c.router.Override(campaign, to)
 	return nil
 }
 
-// Close shuts every node down (followers included). Dead nodes' servers
-// are closed too — Kill leaves them open to mimic a crash, but process
-// teardown still releases their journals.
+// Close shuts every node down, flushing and closing its journal.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -332,15 +192,8 @@ func (c *Cluster) closeAll() error {
 		if n == nil {
 			continue
 		}
-		if n.srv != nil {
-			if err := n.srv.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		if n.follower != nil {
-			if err := n.follower.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := n.srv.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"github.com/eyeorg/eyeorg/internal/browsersim"
 	"github.com/eyeorg/eyeorg/internal/platform"
+	"github.com/eyeorg/eyeorg/internal/store"
 	"github.com/eyeorg/eyeorg/internal/video"
 	"github.com/eyeorg/eyeorg/internal/vision"
 )
@@ -94,6 +96,15 @@ func createCampaign(t *testing.T, c *Cluster, rc *cc) (id, owner string) {
 		t.Fatalf("campaign %s not on its owner %s", created.ID, owner)
 	}
 	return created.ID, owner
+}
+
+// otherNode picks a member of the default three-node cluster other
+// than owner.
+func otherNode(owner string) string {
+	if owner == "a" {
+		return "b"
+	}
+	return "a"
 }
 
 func addVideos(t *testing.T, rc *cc, campaign string, n int) []string {
@@ -201,14 +212,7 @@ func TestMisroutedAfterHandoff(t *testing.T) {
 	if err := completeVia(rc, jr); err != nil {
 		t.Fatal(err)
 	}
-	// Pick any other node as the new owner.
-	var target string
-	for _, n := range []string{"a", "b", "c"} {
-		if n != owner {
-			target = n
-			break
-		}
-	}
+	target := otherNode(owner)
 	_, preMove := rc.body("GET", "/api/v1/campaigns/"+id+"/results")
 	if err := c.MoveCampaign(id, owner, target); err != nil {
 		t.Fatal(err)
@@ -273,122 +277,97 @@ func TestMisroutedAfterHandoff(t *testing.T) {
 	}
 }
 
-// TestKillNodeQuiesced: load → quiesce → kill → every campaign's
-// /results must be byte-identical from the promoted replica, then the
-// replica keeps taking writes, then node replacement restores the
-// campaign onto a durable node with state intact.
-func TestKillNodeQuiesced(t *testing.T) {
-	c := newTestCluster(t, Config{Fsync: true, GroupCommit: true})
+// TestHandoffSurvivesRestart replays a handoff's two records across a
+// restart: the old owner's journaled fence and the new owner's import.
+// After New reopens the same Dir with a fresh router, the old owner
+// still answers 307 toward the new one, the moved campaign's /results
+// are byte-identical, and a join lands exactly once, on the new owner.
+func TestHandoffSurvivesRestart(t *testing.T) {
+	cfg := Config{Nodes: []string{"a", "b", "c"}, Dir: t.TempDir(), SnapshotEvery: -1, Fsync: true, GroupCommit: true}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
 	rc := &cc{t: t, h: c.Handler()}
-	owners := map[string][]string{}
-	for i := 0; i < 24 && len(owners["a"]) == 0; i++ {
-		id, owner := createCampaign(t, c, rc)
-		owners[owner] = append(owners[owner], id)
-	}
-	if len(owners["a"]) == 0 {
-		t.Fatal("no campaign landed on node a")
-	}
-	var all []string
-	for _, ids := range owners {
-		all = append(all, ids...)
-	}
-	for _, id := range all {
-		addVideos(t, rc, id, 2)
-		for w := 0; w < 3; w++ {
-			jr := joinVia(t, rc, id, fmt.Sprintf("w-%s-%d", id, w))
-			if err := completeVia(rc, jr); err != nil {
-				t.Fatal(err)
-			}
+	id, owner := createCampaign(t, c, rc)
+	addVideos(t, rc, id, 2)
+	for w := 0; w < 3; w++ {
+		if err := completeVia(rc, joinVia(t, rc, id, fmt.Sprintf("w-%d", w))); err != nil {
+			t.Fatal(err)
 		}
 	}
-	pre := map[string][]byte{}
-	for _, id := range all {
-		code, body := rc.body("GET", "/api/v1/campaigns/"+id+"/results")
-		if code != http.StatusOK {
-			t.Fatalf("pre-kill results %s: %d", id, code)
-		}
-		pre[id] = body
-	}
-
-	if err := c.Kill("a"); err != nil {
+	target := otherNode(owner)
+	if err := c.MoveCampaign(id, owner, target); err != nil {
 		t.Fatal(err)
 	}
-
-	for _, id := range all {
-		code, body := rc.body("GET", "/api/v1/campaigns/"+id+"/results")
-		if code != http.StatusOK {
-			t.Fatalf("post-kill results %s: %d", id, code)
-		}
-		if !bytes.Equal(pre[id], body) {
-			t.Fatalf("campaign %s: /results diverged across failover\npre:  %s\npost: %s", id, pre[id], body)
-		}
-	}
-	// The promoted replica accepts new judgments.
-	victim := owners["a"][0]
-	jr := joinVia(t, rc, victim, "w-after-kill")
-	if err := completeVia(rc, jr); err != nil {
-		t.Fatal(err)
-	}
-	got := analyticsSessions(t, rc, victim)
-	if p, ok := got[jr.Session]; !ok || !p.Completed {
-		t.Fatalf("post-kill session not served by promoted replica: %+v", p)
-	}
-	// Node replacement: migrate the campaign off the memory-only
-	// replica (adopted by b, a's successor) onto a DIFFERENT durable
-	// survivor, so the fence on the replica is observable.
-	_, preRestore := rc.body("GET", "/api/v1/campaigns/"+victim+"/results")
-	if err := c.RestoreCampaign(victim, "c"); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Node("c").srv.HasCampaign(victim) {
-		t.Fatal("restored campaign missing on node c")
-	}
-	code, postRestore := rc.body("GET", "/api/v1/campaigns/"+victim+"/results")
+	results := "/api/v1/campaigns/" + id + "/results"
+	code, pre := rc.body("GET", results)
 	if code != http.StatusOK {
-		t.Fatalf("post-restore results: %d", code)
+		t.Fatalf("pre-restart results: %d", code)
 	}
-	if !bytes.Equal(preRestore, postRestore) {
-		t.Fatalf("campaign %s: /results diverged across restore", victim)
-	}
-	// The replica now fences: a request reaching the successor's
-	// adopted copy redirects to the durable node.
-	succ := &cc{t: t, h: c.Node(c.router.successor["a"]).Handler()}
-	if code, hdr := succ.do("GET", "/api/v1/campaigns/"+victim+"/results", nil, nil); code != http.StatusTemporaryRedirect {
-		t.Fatalf("fenced replica: got %d, want 307", code)
-	} else if want := c.Node("c").Base + "/api/v1/campaigns/" + victim + "/results"; hdr.Get("Location") != want {
-		t.Fatalf("fenced replica Location = %q, want %q", hdr.Get("Location"), want)
-	}
-	// And it keeps taking writes on its new home.
-	jr2 := joinVia(t, rc, victim, "w-after-restore")
-	if err := completeVia(rc, jr2); err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c2.Close() })
+	old := &cc{t: t, h: c2.Node(owner).Handler()}
+	code, hdr := old.do("GET", results, nil, nil)
+	if code != http.StatusTemporaryRedirect {
+		t.Fatalf("old owner after restart: got %d, want 307", code)
+	}
+	if want := c2.Node(target).Base + results; hdr.Get("Location") != want {
+		t.Fatalf("old owner Location = %q, want %q", hdr.Get("Location"), want)
+	}
+	rc2 := &cc{t: t, h: c2.Handler()}
+	code, post := rc2.body("GET", results)
+	if code != http.StatusOK {
+		t.Fatalf("post-restart results via router: %d", code)
+	}
+	if !bytes.Equal(pre, post) {
+		t.Fatalf("/results diverged across restart\npre:  %s\npost: %s", pre, post)
+	}
+
+	rawOld := &cc{t: t, h: c2.Node(owner).srv.Handler()}
+	oldBefore := analyticsSessions(t, rawOld, id)
+	newBefore := analyticsSessions(t, rc2, id)
+	jr := joinVia(t, rc2, id, "w-after-restart")
+	if got := analyticsSessions(t, rawOld, id); len(got) != len(oldBefore) {
+		t.Fatalf("post-restart join reached the fenced old owner: %d sessions, want %d", len(got), len(oldBefore))
+	}
+	newAfter := analyticsSessions(t, rc2, id)
+	if len(newAfter) != len(newBefore)+1 {
+		t.Fatalf("post-restart join: new owner has %d sessions, want %d", len(newAfter), len(newBefore)+1)
+	}
+	if p, ok := newAfter[jr.Session]; !ok || p.Worker != "w-after-restart" {
+		t.Fatalf("post-restart join %s missing on the new owner: %+v", jr.Session, p)
 	}
 }
 
-// TestKillNodeMidFlight is the chaos test: concurrent sessions stream
-// through the router while a node dies mid-load. Every session whose
-// final judgment was acked at the router — whenever that happened —
-// must be present and completed in /results afterwards.
-func TestKillNodeMidFlight(t *testing.T) {
+// TestHandoffUnderLoad moves a campaign while six goroutines run
+// sessions on it through the router. Every session whose final
+// response was acked must be present and completed on the new owner,
+// every session the fenced old owner still holds must have moved with
+// the campaign, and the new owner's import must carry the old owner's
+// fence: the export was taken after the fence, so it is complete.
+func TestHandoffUnderLoad(t *testing.T) {
 	c := newTestCluster(t, Config{Fsync: true, GroupCommit: true})
 	rc := &cc{t: t, h: c.Handler()}
-	owners := map[string][]string{}
-	var all []string
-	for i := 0; i < 24 && len(owners["a"]) == 0; i++ {
-		id, owner := createCampaign(t, c, rc)
-		owners[owner] = append(owners[owner], id)
-		all = append(all, id)
-	}
-	if len(owners["a"]) == 0 {
-		t.Fatal("no campaign landed on node a")
-	}
-	for _, id := range all {
-		addVideos(t, rc, id, 2)
-	}
+	id, owner := createCampaign(t, c, rc)
+	addVideos(t, rc, id, 2)
+	target := otherNode(owner)
 
-	type acked struct{ campaign, session string }
 	var mu sync.Mutex
-	var ok []acked
+	var acked []string
+	ackedN := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(acked)
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -402,7 +381,6 @@ func TestKillNodeMidFlight(t *testing.T) {
 					return
 				default:
 				}
-				id := all[(g+i)%len(all)]
 				var jr platform.JoinResponse
 				code, _ := lrc.do("POST", "/api/v1/sessions", platform.JoinRequest{
 					Campaign: id,
@@ -410,59 +388,92 @@ func TestKillNodeMidFlight(t *testing.T) {
 					Captcha:  "ok",
 				}, &jr)
 				if code != http.StatusCreated {
-					continue // join refused mid-transition: nothing acked, nothing owed
+					continue // refused mid-handoff: nothing acked, nothing owed
 				}
 				if completeVia(lrc, jr) == nil {
 					mu.Lock()
-					ok = append(ok, acked{campaign: id, session: jr.Session})
+					acked = append(acked, jr.Session)
 					mu.Unlock()
 				}
 			}
 		}(g)
 	}
-	// Let load build, then kill node a mid-flight.
-	deadline := time.After(1200 * time.Millisecond)
-	killed := false
-	for !killed {
-		select {
-		case <-time.After(300 * time.Millisecond):
-			if err := c.Kill("a"); err != nil {
-				t.Errorf("kill: %v", err)
+	waitAcked := func(n int) {
+		deadline := time.Now().Add(10 * time.Second)
+		for ackedN() < n {
+			if time.Now().After(deadline) {
+				close(stop)
+				wg.Wait()
+				t.Fatalf("only %d sessions acked, want %d", ackedN(), n)
 			}
-			killed = true
-		case <-deadline:
-			t.Fatal("never killed")
+			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	time.Sleep(300 * time.Millisecond)
+	waitAcked(12)
+	if err := c.MoveCampaign(id, owner, target); err != nil {
+		close(stop)
+		wg.Wait()
+		t.Fatal(err)
+	}
+	waitAcked(ackedN() + 12)
 	close(stop)
 	wg.Wait()
 
-	mu.Lock()
-	final := append([]acked(nil), ok...)
-	mu.Unlock()
-	if len(final) == 0 {
-		t.Fatal("no session fully acked — load generator broken")
+	onNew := analyticsSessions(t, &cc{t: t, h: c.Node(target).Handler()}, id)
+	for _, sid := range acked {
+		if p, ok := onNew[sid]; !ok || !p.Completed {
+			t.Fatalf("acked session %s missing or incomplete on the new owner: %+v", sid, p)
+		}
 	}
-	byCampaign := map[string]map[string]platform.ParticipantVerdict{}
-	for _, a := range final {
-		got, ok := byCampaign[a.campaign]
+	if moved, ok := c.Node(owner).srv.MovedTo(id); !ok || moved != target {
+		t.Fatalf("old owner's fence = %q, %v; want %q", moved, ok, target)
+	}
+	for sid, p := range analyticsSessions(t, &cc{t: t, h: c.Node(owner).srv.Handler()}, id) {
+		q, ok := onNew[sid]
 		if !ok {
-			got = analyticsSessions(t, rc, a.campaign)
-			byCampaign[a.campaign] = got
+			t.Fatalf("session %s stranded on the old owner: not on the new owner", sid)
 		}
-		p, present := got[a.session]
-		if !present {
-			t.Fatalf("acked session %s (campaign %s) lost after failover", a.session, a.campaign)
-		}
-		if !p.Completed {
-			t.Fatalf("acked session %s (campaign %s) present but incomplete after failover", a.session, a.campaign)
+		if p.Completed && !q.Completed {
+			t.Fatalf("session %s completed on the old owner but not on the new owner", sid)
 		}
 	}
-	for id := range byCampaign {
-		if code, _ := rc.body("GET", "/api/v1/campaigns/"+id+"/results"); code != http.StatusOK {
-			t.Fatalf("post-chaos results %s: %d", id, code)
+
+	// Fence-first: the export inside the new owner's import record
+	// already carries the old owner's fence.
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jl, err := store.Open(filepath.Join(c.cfg.Dir, target), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	imports := 0
+	err = jl.Replay(func(_ uint64, payload []byte) error {
+		var rec struct {
+			Op    string `json:"op"`
+			State struct {
+				Campaign struct {
+					ID    string `json:"id"`
+					Moved string `json:"moved"`
+				} `json:"campaign"`
+			} `json:"state"`
 		}
+		if err := json.Unmarshal(payload, &rec); err != nil || rec.Op != "import" {
+			return err
+		}
+		imports++
+		if rec.State.Campaign.ID != id || rec.State.Campaign.Moved != target {
+			return fmt.Errorf("import of %s exported with fence %q, want %q (export before fence)",
+				rec.State.Campaign.ID, rec.State.Campaign.Moved, target)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if imports != 1 {
+		t.Fatalf("new owner journaled %d import records, want 1", imports)
 	}
 }
 
@@ -500,7 +511,6 @@ func TestRouterMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"eyeorg_router_requests_total",
-		"eyeorg_router_nodes_alive 3",
 		"eyeorg_router_unroutable_total 0",
 	} {
 		if !strings.Contains(string(body), want) {

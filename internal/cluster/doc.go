@@ -1,28 +1,24 @@
-// Package cluster partitions EYEORG campaigns across platform nodes
-// and keeps every acknowledged judgment survivable.
+// Package cluster partitions EYEORG campaigns across platform nodes.
 //
 // Campaigns are the shard unit — sessions never span campaigns — and a
 // consistent-hash ring (Ring) with virtual nodes maps each campaign ID
 // to its owning node, so membership changes move only ~1/N of the
 // keyspace. The Router in front resolves every API request to the
-// owner (ring for fresh campaigns, learned tables and failover
-// overrides after that) and either proxies in-process or answers a 307
-// for the client to follow.
+// owner (ring for fresh campaigns, learned tables and handoff overrides
+// after that) and either proxies in-process or answers a 307 for the
+// client to follow.
 //
-// Each Node pairs a durable platform server with an in-memory follower
-// replica fed by WAL shipping: the store calls Node.ShipWindow once
-// per sealed durability window, after the window is on disk and
-// strictly before the covered mutations acknowledge, and the sink
-// replays each record through the same apply path crash recovery uses.
-// "Acked" therefore always implies "applied on the follower", which is
-// what lets Cluster.Kill promote the replica on a crash without losing
-// a single acknowledged judgment — the kill-a-node chaos test pins
-// byte-identical /results across that failover.
+// Each Node wraps one durable platform server in the ownership
+// middleware that fences handed-off campaigns with 307s. Replication is
+// not provided: a node's journal is the only copy of its campaigns, so
+// "acked" means durable on that node's disk, and a node that dies is
+// unavailable until it restarts over its own data directory.
 //
-// Campaign migration (Cluster.MoveCampaign) is snapshot-ship plus
-// journal-tail catch-up: export the campaign at a journal cut, fence
-// it with a journaled handoff record (the old owner then answers 307,
-// never double-applies), and import state + tail atomically on the new
-// owner. See docs/ARCHITECTURE.md for the full protocol narrative and
-// docs/PROTOCOLS.md for the message formats.
+// Campaign migration (Cluster.MoveCampaign) is fence, export, import,
+// override: a journaled handoff record fences the campaign on the old
+// owner (which then answers 307 and never double-applies), the now
+// quiescent campaign is exported, the new owner installs it as one
+// journaled import record, and the router pins the new owner. See
+// docs/ARCHITECTURE.md for the protocol narrative and docs/PROTOCOLS.md
+// for the record formats.
 package cluster

@@ -1,18 +1,17 @@
-// Cluster support: campaign export/import (handoff between nodes),
-// handoff fencing, and the replication apply path followers feed
-// shipped WAL windows through.
+// Cluster support: campaign export/import (handoff between nodes) and
+// handoff fencing.
 //
-// A campaign moves between nodes as snapshot-ship + journal-tail
-// catch-up: the old owner exports the campaign (its sessions, videos
-// and blob payloads as the same DTOs snapshots use) at a journal cut,
-// keeps serving while the transfer is in flight, then fences the
+// A campaign moves between nodes fence-first: the old owner fences the
 // campaign with a journaled opHandoff — from that record on, every
 // mutation gets errCampaignMoved, so nothing can double-apply on the
-// old owner. The new owner installs the export plus the fenced tail in
-// ONE journaled opImport record, so its own recovery replays the whole
-// migration or none of it. Both records replay through the same apply
-// functions as everything else, preserving the byte-identical-/results
-// contract across migration and restart.
+// old owner — then exports the now-quiescent campaign (its sessions,
+// videos and blob payloads as the same DTOs snapshots use). The new
+// owner installs the export in ONE journaled opImport record, so its
+// own recovery replays the whole migration or none of it. Both records
+// replay through the same apply functions as everything else,
+// preserving the byte-identical-/results contract across migration and
+// restart. Nothing here replicates a journal: each node's state is as
+// durable as its own data directory.
 package platform
 
 import (
@@ -33,33 +32,29 @@ type campaignExport struct {
 }
 
 // ExportCampaign serializes one campaign — sessions, videos, blob
-// bytes — as a handoff document, and returns the journal sequence the
-// cut was taken at: records after that sequence form the catch-up tail
-// the importer replays on top. Mutations are quiesced for the duration
-// (the world lock is held exclusively); the campaign keeps serving
-// afterwards until Handoff fences it.
-func (s *Server) ExportCampaign(id string) (state []byte, seq uint64, err error) {
+// bytes — as a handoff document. Mutations are quiesced for the
+// duration (the world lock is held exclusively, so every mutation that
+// passed the fencing check before a Handoff has applied); exporting a
+// fenced campaign is therefore complete by construction.
+func (s *Server) ExportCampaign(id string) ([]byte, error) {
 	s.world.Lock()
 	defer s.world.Unlock()
 	c, ok := s.campaigns.Get(id)
 	if !ok {
-		return nil, 0, errNoCampaign
+		return nil, errNoCampaign
 	}
-	// A fenced campaign exports too: node replacement fences the
-	// adopted replica FIRST (no outbox exists there to capture a tail),
-	// then exports the quiesced state.
 	ex := campaignExport{Campaign: exportCampaignState(c)}
 	for _, sid := range c.sessions {
 		sess, ok := s.sessions.Get(sid)
 		if !ok {
-			return nil, 0, fmt.Errorf("campaign %s references unknown session %s", id, sid)
+			return nil, fmt.Errorf("campaign %s references unknown session %s", id, sid)
 		}
 		ex.Sessions = append(ex.Sessions, exportSessionState(sess))
 	}
 	for _, vid := range c.Videos {
 		v, ok := s.videos.Get(vid)
 		if !ok {
-			return nil, 0, fmt.Errorf("campaign %s references unknown video %s", id, vid)
+			return nil, fmt.Errorf("campaign %s references unknown video %s", id, vid)
 		}
 		ex.Videos = append(ex.Videos, exportVideoState(v))
 		if ex.Blobs == nil {
@@ -68,16 +63,12 @@ func (s *Server) ExportCampaign(id string) (state []byte, seq uint64, err error)
 		if _, dup := ex.Blobs[v.Hash]; !dup {
 			data, err := s.blobs.ReadAll(v.Hash)
 			if err != nil {
-				return nil, 0, fmt.Errorf("exporting blob %s: %w", v.Hash, err)
+				return nil, fmt.Errorf("exporting blob %s: %w", v.Hash, err)
 			}
 			ex.Blobs[v.Hash] = data
 		}
 	}
-	if s.log != nil {
-		seq = s.log.Seq()
-	}
-	state, err = json.Marshal(&ex)
-	return state, seq, err
+	return json.Marshal(&ex)
 }
 
 // Handoff fences a campaign: a journaled opHandoff record marks it
@@ -111,14 +102,12 @@ func (s *Server) applyHandoff(ev *event) (uint64, error) {
 	return seq, nil
 }
 
-// ImportCampaign installs a campaign exported from another node: the
-// export document plus the journal-tail records the old owner appended
-// between the export cut and the fence. Everything lands as ONE
+// ImportCampaign installs a campaign exported from another node as ONE
 // journaled opImport record, so recovery replays the whole migration
 // atomically. Importing an already-present campaign fails with
 // errCampaignExists — the retry/double-apply guard.
-func (s *Server) ImportCampaign(state []byte, tail [][]byte) error {
-	ev := &event{Op: opImport, State: state, Tail: tail}
+func (s *Server) ImportCampaign(state []byte) error {
+	ev := &event{Op: opImport, State: state}
 	s.world.Lock()
 	seq, err := s.applyImport(ev)
 	s.world.Unlock()
@@ -135,6 +124,9 @@ func (s *Server) ImportCampaign(state []byte, tail [][]byte) error {
 }
 
 func (s *Server) applyImport(ev *event) (uint64, error) {
+	if ev.RemovedTail != nil {
+		return 0, errors.New(`import record carries a "tail" key: the catch-up tail form was removed, refusing to drop its records`)
+	}
 	var ex campaignExport
 	if err := json.Unmarshal(ev.State, &ex); err != nil {
 		return 0, fmt.Errorf("import state: %w", err)
@@ -173,9 +165,9 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 		s.videos.Put(vn.ID, v)
 		s.bumpID(vn.ID)
 	}
-	// The import always lands owned-here: a moved marker in the export
-	// (node replacement exports an already-fenced campaign) is the OLD
-	// owner's fence, not the new one's.
+	// The import always lands owned-here: the export's moved marker is
+	// the OLD owner's fence (it exports after fencing), not the new
+	// one's.
 	ex.Campaign.Moved = ""
 	c, err := s.restoreCampaign(ex.Campaign)
 	if err != nil {
@@ -183,65 +175,8 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 	}
 	s.campaigns.Put(ex.Campaign.ID, c)
 	s.bumpID(ex.Campaign.ID)
-	// Catch-up tail: events the old owner journaled after the export
-	// cut, replayed through the normal apply functions with journaling
-	// suppressed — they are already durable inside this import record.
-	for _, rec := range ev.Tail {
-		var tev event
-		if err := json.Unmarshal(rec, &tev); err != nil {
-			return 0, fmt.Errorf("import tail: %w", err)
-		}
-		if tev.Op == opHandoff {
-			continue // the fence itself never applies on the new owner
-		}
-		tev.noJournal = true
-		if err := s.applyEvent(&tev); err != nil {
-			return 0, fmt.Errorf("import tail %s %s: %w", tev.Op, tev.ID, err)
-		}
-	}
 	s.countMutation(opImport)
 	return seq, nil
-}
-
-// ApplyReplicated applies one shipped journal record to a follower
-// replica. The follower must be an in-memory server (no DataDir): the
-// shipped stream IS its journal, and applying through the same
-// functions recovery uses keeps the replica byte-identical to what the
-// source would rebuild. Records must arrive in ship order — the
-// store.ReplicationSink contract already serializes them.
-func (s *Server) ApplyReplicated(payload []byte) error {
-	if s.log != nil {
-		return errors.New("platform: ApplyReplicated requires an in-memory follower (no DataDir)")
-	}
-	var ev event
-	if err := json.Unmarshal(payload, &ev); err != nil {
-		return fmt.Errorf("replicated record: %w", err)
-	}
-	s.world.RLock()
-	defer s.world.RUnlock()
-	return s.applyEvent(&ev)
-}
-
-// CampaignOfRecord attributes one journal record payload to the
-// campaign it mutates, resolving session- and video-scoped ops through
-// the live indexes. The handoff protocol uses it to filter a node's
-// shipped-record capture down to one campaign's catch-up tail.
-func (s *Server) CampaignOfRecord(payload []byte) (string, bool) {
-	var ev event
-	if err := json.Unmarshal(payload, &ev); err != nil {
-		return "", false
-	}
-	switch ev.Op {
-	case opCampaign, opHandoff:
-		return ev.ID, true
-	case opVideo, opSession:
-		return ev.Campaign, true
-	case opBatch, opResponse:
-		return s.CampaignOf(ev.ID)
-	case opFlag:
-		return s.CampaignOfVideo(ev.ID)
-	}
-	return "", false
 }
 
 // --- ownership accessors (read paths for the cluster middleware) ---
@@ -290,26 +225,4 @@ func (s *Server) MovedTo(campaign string) (string, bool) {
 		return "", false
 	}
 	return t.(string), true
-}
-
-// Seq returns the journal's last assigned sequence (0 for in-memory
-// servers).
-func (s *Server) Seq() uint64 {
-	if s.log == nil {
-		return 0
-	}
-	return s.log.Seq()
-}
-
-// Barrier waits until everything journaled before the call is durable —
-// and therefore, per the ReplicationSink contract, shipped. The handoff
-// protocol runs it after the fence so the catch-up tail is complete.
-func (s *Server) Barrier() error {
-	if s.log == nil {
-		return nil
-	}
-	s.world.Lock()
-	seq := s.log.Seq()
-	s.world.Unlock()
-	return s.log.WaitDurable(seq)
 }

@@ -33,8 +33,8 @@
 // A server can also run as one member of a campaign-partitioned
 // cluster (internal/cluster): Options.IDTag namespaces the IDs it
 // mints, the ownership middleware answers fencing 307s for campaigns
-// handed off to a peer, and Options.Replicate ships every sealed
-// durability window to a follower that replays it through this same
-// recovery path. See docs/ARCHITECTURE.md for the subsystem map and
+// handed off to a peer, and ExportCampaign/ImportCampaign move a fenced
+// campaign between nodes. Nothing replicates the journal: a node's
+// state is as durable as its own DataDir. See docs/ARCHITECTURE.md for the subsystem map and
 // the byte-identical-replay invariant every layer preserves.
 package platform

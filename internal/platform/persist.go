@@ -60,16 +60,13 @@ const (
 // Video records carry a content address (Hash + Size) into the blob
 // store: the blob file is made durable before the record referencing
 // it is journaled, so replay always finds the bytes. A video record
-// without a hash is refused. Data carries the payload too only on an
-// InlineVideos server, for replication followers, whose blob stores
-// start empty.
+// without a hash is refused.
 type event struct {
 	Op       string         `json:"op"`
 	ID       string         `json:"id,omitempty"`
 	Campaign string         `json:"campaign,omitempty"`
 	Name     string         `json:"name,omitempty"`
 	Kind     string         `json:"kind,omitempty"`
-	Data     []byte         `json:"data,omitempty"` // InlineVideos payload
 	Hash     string         `json:"hash,omitempty"`
 	Size     int64          `json:"size,omitempty"`
 	Worker   *Worker        `json:"worker,omitempty"`
@@ -81,12 +78,13 @@ type event struct {
 	// Replay decodes it back through the pooled decoder.
 	Wire []byte `json:"wire,omitempty"`
 	// Target is an opHandoff record's destination node; State is an
-	// opImport record's campaignExport document and Tail its journal
-	// catch-up records (raw event payloads journaled on the old owner
-	// after the export was cut).
+	// opImport record's campaignExport document.
 	Target string          `json:"target,omitempty"`
 	State  json.RawMessage `json:"state,omitempty"`
-	Tail   [][]byte        `json:"tail,omitempty"`
+	// RemovedTail only detects the catch-up tail earlier import records
+	// carried: replay refuses such a record rather than silently drop
+	// the mutations inside it. Nothing journals it.
+	RemovedTail json.RawMessage `json:"tail,omitempty"`
 
 	// tr stamps the live request's lock-wait/append boundaries as the
 	// event moves through its apply function. Unexported so it never
@@ -95,10 +93,6 @@ type event struct {
 	// records carries an opBatch's records: the live handler's decode
 	// or conversion, or replayBatch's decode of Wire.
 	records []wire.Record
-	// noJournal suppresses journaling for this apply: opImport replays
-	// its Tail through the normal apply functions, and those events are
-	// already durable inside the import record itself.
-	noJournal bool
 }
 
 // journal buffers ev into the WAL and returns its sequence number.
@@ -113,7 +107,7 @@ type event struct {
 // EYB1 encoding of its records, made by a pooled encoder only here,
 // where a log exists to take it.
 func (s *Server) journal(ev *event) (uint64, error) {
-	if s.log == nil || s.replaying || ev.noJournal {
+	if s.log == nil || s.replaying {
 		return 0, nil
 	}
 	var enc *wire.Encoder
@@ -216,13 +210,6 @@ func (s *Server) applyVideo(ev *event) (uint64, error) {
 	}
 	if c.movedTo != "" {
 		return 0, fmt.Errorf("%w: campaign %s now owned by %s", errCampaignMoved, c.ID, c.movedTo)
-	}
-	if len(ev.Data) > 0 && !s.blobs.Has(ev.Hash) {
-		// InlineVideos record landing on a follower (or replaying after
-		// blob loss): the payload rides in the record — re-store it.
-		if _, _, err := s.blobs.PutBytes(ev.Data); err != nil {
-			return 0, err
-		}
 	}
 	vsh := s.videos.Shard(ev.ID)
 	vsh.Lock()

@@ -267,9 +267,9 @@ func TestJSONEventsJournalAsBatch(t *testing.T) {
 
 // TestOpenRefusesRemovedFormats writes data dirs holding record forms
 // no shipped journal contains — the JSON-only events op, a video
-// record without a content hash, a snapshot video without one — and
-// requires Open to fail naming the op or video rather than load a
-// partial state.
+// record without a content hash, a snapshot video without one, an
+// import record with a catch-up tail — and requires Open to fail
+// naming the op, video or key rather than load a partial state.
 func TestOpenRefusesRemovedFormats(t *testing.T) {
 	const campaign = `{"op":"campaign","id":"c1","name":"old","kind":"timeline"}`
 	cases := []struct {
@@ -293,6 +293,12 @@ func TestOpenRefusesRemovedFormats(t *testing.T) {
 			records:  []string{campaign},
 			snapshot: `{"next_id":2,"campaigns":[{"id":"c1","name":"old","kind":"timeline","videos":["v2"]}],"videos":[{"id":"v2","campaign":"c1","data":"RVlWMQ=="}]}`,
 			want:     "snapshot video v2 has no content hash",
+		},
+		{
+			name: "import-with-tail",
+			records: []string{`{"op":"import","state":{"campaign":{"id":"c9","name":"moved","kind":"timeline"}},` +
+				`"tail":["eyJvcCI6InNlc3Npb24ifQ=="]}`},
+			want: `import record carries a "tail" key`,
 		},
 	}
 	for _, tc := range cases {

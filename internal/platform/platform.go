@@ -155,16 +155,6 @@ type Options struct {
 	// Tags must be mutually prefix-free (the cluster uses "a.", "b.",
 	// ...); empty keeps the single-node "c1" format.
 	IDTag string
-	// InlineVideos additionally journals each video's payload bytes
-	// inside its opVideo record (normally the record carries only the
-	// content address; the blob file is durable separately). Replication
-	// followers need the bytes in the stream — their blob store starts
-	// empty — so cluster nodes run with this set.
-	InlineVideos bool
-	// Replicate, when set, receives every sealed durability window of
-	// the journal (see store.ReplicationSink): the WAL-shipping hook the
-	// cluster layer feeds follower replicas from. Requires a DataDir.
-	Replicate store.ReplicationSink
 }
 
 // Server implements the Eyeorg HTTP API.
@@ -211,10 +201,8 @@ type Server struct {
 	// serial lock.
 	world sync.RWMutex
 
-	// idTag namespaces minted IDs (Options.IDTag); inlineVideos makes
-	// opVideo records carry payload bytes for replication followers.
-	idTag        string
-	inlineVideos bool
+	// idTag namespaces minted IDs (Options.IDTag).
+	idTag string
 	// moved maps campaign ID → owning node for campaigns handed off to
 	// another cluster node. Guarded by nothing: sync.Map, written only
 	// by applyHandoff/restore, read on every mutation's fencing check.
@@ -363,7 +351,6 @@ func Open(opts Options) (*Server, error) {
 		maxBody:   opts.MaxBodyBytes,
 	}
 	s.idTag = opts.IDTag
-	s.inlineVideos = opts.InlineVideos
 	if s.maxBody <= 0 {
 		s.maxBody = 1 << 20
 	}
@@ -452,7 +439,6 @@ func Open(opts Options) (*Server, error) {
 		SyncDelay:     opts.SyncDelay,
 		Metrics:       sink,
 		Trace:         tsink,
-		Replicate:     opts.Replicate,
 	})
 	if err != nil {
 		return nil, err
@@ -977,11 +963,6 @@ func (s *Server) handleAddVideo(w http.ResponseWriter, r *http.Request) {
 	tr.Mark(trace.StageDecode)
 	id := s.newID("v")
 	ev := &event{Op: opVideo, ID: id, Campaign: campaignID, Hash: ref.Hash, Size: ref.Size, tr: tr}
-	if s.inlineVideos {
-		// Replication followers rebuild their blob store from the
-		// journal stream, so the record carries the payload too.
-		ev.Data = data
-	}
 	if err := s.mutate(tr, func() (uint64, error) { return s.applyVideo(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return

@@ -25,10 +25,9 @@
 // older segment is real corruption and fails Open. The full frame,
 // window and snapshot formats are specified in docs/PROTOCOLS.md.
 //
-// Three hook interfaces keep the journal dependency-free while letting
-// the platform observe and extend it: Sink (durability telemetry),
-// TraceSink (per-window commit timing for request tracing), and
-// ReplicationSink (every payload of a sealed durability window, shipped
-// before the covered appends ack — the WAL-shipping transport that
-// internal/cluster rides for follower replication).
+// Two hook interfaces keep the journal dependency-free while letting
+// the platform observe it: Sink (durability telemetry) and TraceSink
+// (per-window commit timing for request tracing). The journal is not
+// replicated: a record is as durable as this directory's disk, and
+// nothing ships it anywhere else.
 package store

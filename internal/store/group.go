@@ -145,7 +145,6 @@ func (l *Log) flushGroup() {
 		return
 	}
 	seq := l.seq
-	pendFirst, pendRecs := l.takePendingLocked()
 	flushStart := time.Now()
 	if err := l.w.Flush(); err != nil {
 		l.failed = true
@@ -157,9 +156,7 @@ func (l *Log) flushGroup() {
 		l.mu.Unlock()
 		// No fsync in this configuration: publish an empty fsync
 		// bracket at the flush's completion so waiters still split
-		// their wait into flush vs ack. Replication ships before the
-		// ack, same as the fsync path.
-		l.shipWindow(pendFirst, pendRecs)
+		// their wait into flush vs ack.
 		end := time.Now()
 		l.traceWindow(seq, flushStart, end, end)
 		l.sinkWindow(int(l.markDurable(seq)))
@@ -180,9 +177,6 @@ func (l *Log) flushGroup() {
 	}
 	end := time.Now()
 	l.sinkFsync(end.Sub(start))
-	// Ship the durable window to followers before any covered waiter
-	// wakes: an acked record has always been shipped.
-	l.shipWindow(pendFirst, pendRecs)
 	l.traceWindow(seq, flushStart, start, end)
 	l.sinkWindow(int(l.markDurable(seq)))
 }

@@ -77,11 +77,6 @@ type Options struct {
 	// hook; see TraceSink for the contract. Only the group-commit
 	// pipeline produces windows.
 	Trace TraceSink
-	// Replicate receives every record payload once its durability
-	// window is established, before the covered waiters are woken —
-	// the WAL-shipping transport cluster replication rides on. Nil
-	// disables shipping; see ReplicationSink for the contract.
-	Replicate ReplicationSink
 	// SyncDelay adds a fixed latency floor to every commit-path fsync
 	// (per-record and group-commit windows; snapshots and directory
 	// syncs are unaffected). It models a device whose cache flush has
@@ -110,12 +105,6 @@ type Log struct {
 	// turn a recoverable torn tail into mid-journal corruption. Reopening
 	// re-derives the truth from disk.
 	failed bool
-
-	// pendFirst/pendRecs queue appended payload copies between
-	// durability windows for Options.Replicate (see sink.go). Guarded
-	// by mu; shipped by whichever path establishes the window.
-	pendFirst uint64
-	pendRecs  [][]byte
 
 	snapSeq    uint64 // newest snapshot's sequence
 	loadedSeq  uint64 // snapshot found at Open time
@@ -281,14 +270,6 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 	l.size += int64(recordHeader + len(payload))
 	l.seq++
 	l.sinkAppend(recordHeader + len(payload))
-	if l.opts.Replicate != nil {
-		l.notePending(l.seq, payload)
-		if !l.group {
-			// Inline durability was established above; ship before this
-			// append returns (= before the caller's ack).
-			l.shipWindow(l.takePendingLocked())
-		}
-	}
 	return l.seq, nil
 }
 
@@ -404,7 +385,6 @@ func (l *Log) Close() error {
 	err := l.w.Flush()
 	seq := l.seq
 	failed := l.failed
-	pendFirst, pendRecs := l.takePendingLocked()
 	if serr := l.f.Sync(); err == nil {
 		err = serr
 	}
@@ -420,7 +400,6 @@ func (l *Log) Close() error {
 		// have reached disk, and a later Sync succeeding does not bring
 		// those pages back — the reopened journal is the only truth.
 		if err == nil && !failed {
-			l.shipWindow(pendFirst, pendRecs)
 			l.markDurable(seq)
 		}
 		l.ackMu.Lock()

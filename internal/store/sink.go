@@ -57,54 +57,6 @@ func (l *Log) sinkSnapshot() {
 	}
 }
 
-// ReplicationSink receives every appended record once its durability
-// window is established — the WAL-shipping hook the cluster layer
-// builds follower replication on. Like Sink and TraceSink it keeps the
-// store dependency-free: internal/cluster adapts it onto follower
-// replicas.
-//
-// ShipWindow fires once per durability window with the contiguous
-// record payloads the window covers (firstSeq is the sequence of
-// records[0]). It fires after the window is durable and strictly
-// before the covered WaitDurable callers are woken, so an acknowledged
-// append has always been shipped — the invariant the kill-a-node chaos
-// test leans on. Calls are serialized and arrive in sequence order
-// with no gaps; payload slices are copies owned by the sink. A slow
-// implementation delays acks, never reorders them.
-type ReplicationSink interface {
-	ShipWindow(firstSeq uint64, records [][]byte)
-}
-
-// notePending queues a copy of an appended payload for the next
-// ShipWindow call. Caller holds l.mu; seq is the record's sequence.
-func (l *Log) notePending(seq uint64, payload []byte) {
-	if l.opts.Replicate == nil {
-		return
-	}
-	if len(l.pendRecs) == 0 {
-		l.pendFirst = seq
-	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	l.pendRecs = append(l.pendRecs, cp)
-}
-
-// takePendingLocked hands the queued records to the caller and resets
-// the queue. Caller holds l.mu.
-func (l *Log) takePendingLocked() (first uint64, recs [][]byte) {
-	first, recs = l.pendFirst, l.pendRecs
-	l.pendFirst, l.pendRecs = 0, nil
-	return first, recs
-}
-
-// shipWindow forwards one durable window to the replication sink, if
-// any.
-func (l *Log) shipWindow(first uint64, recs [][]byte) {
-	if l.opts.Replicate != nil && len(recs) > 0 {
-		l.opts.Replicate.ShipWindow(first, recs)
-	}
-}
-
 // WindowTiming describes one group-commit flush window for request-
 // trace attribution: the contiguous sequence range the window made
 // durable and the window's commit timestamps. Without Options.Fsync
